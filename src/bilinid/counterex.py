@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
                    PiecewiseConstantInput, constant_input, validate)
@@ -113,15 +114,29 @@ def in_b_alpha(t: FourTuple, alpha: float,
     return _in_b_alpha(t, alpha, tol, {})
 
 
+def _twin(A, N, b, c, tol):
+    """The twin M = T N' T^{-1} of N, with T the self-dual transform of
+    the linear triple (A, b, c)."""
+    T = self_dual_T(A, b, c, tol)
+    return T @ N.T @ np.linalg.inv(T)
+
+
+def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
+    """The block-diagonal system whose output is y1 - y2 under any input:
+    (A1 (+) A2, N1 (+) N2, [b1; b2], [c1, -c2]), of the kind both share."""
+    return FourTuple(scipy.linalg.block_diag(s1.A, s2.A),
+                     scipy.linalg.block_diag(s1.N, s2.N),
+                     np.concatenate([s1.b, s2.b]),
+                     np.concatenate([s1.c, -s2.c]), s1.kind)
+
+
 def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:
     """Replace N by its twin M = T N' T^{-1}. Requires t in G0; the result
     is again in G0, differs from t, and matches it on every coefficient
     c (A + g N)^k b."""
     if not classify(t, tol=tol).in_G0:
         raise NotInG0("twin construction requires membership in G0")
-    T = self_dual_T(t.A, t.b, t.c, tol)
-    M = T @ t.N.T @ np.linalg.inv(T)
-    return FourTuple(t.A, M, t.b, t.c, t.kind)
+    return FourTuple(t.A, _twin(t.A, t.N, t.b, t.c, tol), t.b, t.c, t.kind)
 
 
 # -- single pulse -------------------------------------------------------------
@@ -169,18 +184,15 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     Q, N, b0, c = seed.A, seed.N, seed.b, seed.c
 
     sigma = psi(Q, N, b0, c, TYPE_I)
-    b1 = phi1(Q, 1.0) @ sigma.b
-    T = self_dual_T(Q, b1, c, tol)
-    M = T @ N.T @ np.linalg.inv(T)
+    M = _twin(Q, N, phi1(Q, 1.0) @ sigma.b, c, tol)
     sigma_hat = FourTuple(Q - M, M, sigma.b, c, TYPE_I)
 
     sigma = rescale(sigma, tau, alpha)
     sigma_hat = rescale(sigma_hat, tau, alpha)
 
     grid = np.linspace(0.0, 5.0 * tau, grid_points)
-    y1 = respond_pulse(sigma, tau, alpha, 0.0, grid).outputs
-    y2 = respond_pulse(sigma_hat, tau, alpha, 0.0, grid).outputs
-    residual = float(np.max(np.abs(y1 - y2)))
+    gap = respond_pulse(_difference(sigma, sigma_hat), tau, alpha, 0.0, grid)
+    residual = float(np.max(np.abs(gap.outputs)))
 
     _, word = io_equivalent(sigma, sigma_hat, tol)
     pair = CounterexamplePair(
@@ -213,6 +225,7 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
     a gap of length s, amplitude alpha again after) for the s giving the
     largest output discrepancy; returns the maximizing input. The gap s
     ranges over s_points values in (0, 4*tau]."""
+    diff = _difference(pair.sigma, pair.sigma_hat)
     best = None
     best_disc = 0.0
     for s in np.linspace(4.0 * tau / s_points, 4.0 * tau, s_points):
@@ -223,9 +236,7 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
             t_end + 1.0,
         )
         grid = np.linspace(0.0, t_end, grid_points)
-        y1 = simulate(pair.sigma, u, grid).outputs
-        y2 = simulate(pair.sigma_hat, u, grid).outputs
-        disc = float(np.max(np.abs(y1 - y2)))
+        disc = float(np.max(np.abs(simulate(diff, u, grid).outputs)))
         if disc > best_disc:
             best, best_disc = u, disc
     if best is None or best_disc <= tol.agree_tol:
@@ -271,18 +282,17 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     if not classify(seed, tol=tol).in_G0:
         raise NotInG0("seed must lie in G0")
     P, N, b0, c = seed.A, seed.N, seed.b, seed.c
-    T = self_dual_T(P, b0, c, tol)
-    M = T @ N.T @ np.linalg.inv(T)
+    M = _twin(P, N, b0, c, tol)
 
     sigma = phi_map(P, N, b0, c, tau, alpha, kind)
     sigma_hat = FourTuple(P - alpha * M, M, sigma.b, c, kind)
 
+    diff = _difference(sigma, sigma_hat)
     grid = np.linspace(0.0, tau + 5.0, grid_points)
     residual = 0.0
     for beta in BETA_TEST_SET * max(1.0, abs(alpha)):
-        y1 = respond_pulse(sigma, tau, alpha, beta, grid).outputs
-        y2 = respond_pulse(sigma_hat, tau, alpha, beta, grid).outputs
-        residual = max(residual, float(np.max(np.abs(y1 - y2))))
+        gap = respond_pulse(diff, tau, alpha, beta, grid).outputs
+        residual = max(residual, float(np.max(np.abs(gap))))
 
     _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
@@ -369,9 +379,8 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
         residual = max(residual, float(np.max(np.abs(np.array(ys) - np.array(yh)))))
 
     grid = np.linspace(0.0, 3.0, 301)
-    y1 = respond_pulse(sigma, 0.0, alpha, alpha, grid).outputs
-    y2 = respond_pulse(sigma_hat, 0.0, alpha, alpha, grid).outputs
-    disc = float(np.max(np.abs(y1 - y2)))
+    gap = respond_pulse(_difference(sigma, sigma_hat), 0.0, alpha, alpha, grid)
+    disc = float(np.max(np.abs(gap.outputs)))
     if disc <= tol.agree_tol:
         raise NoDistinguisherFound(
             f"constant input failed to separate the pair (max gap {disc:.3e})"

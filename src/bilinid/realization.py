@@ -8,11 +8,13 @@ words of length <= n1 + n2 suffices. Words are written as strings over
 shortest-first, then lexicographic with A < N.
 """
 
+import math
+
 import numpy as np
 
 from .core import FourTuple, validate
 from .errors import (DimensionTooLarge, NotCanonical, NotCanonicalTriple,
-                     NotSimilar, ZeroS)
+                     NotSimilar, Overflow, ZeroS)
 from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
 from .core import SimilarityWitness
 
@@ -101,25 +103,27 @@ def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL,
                   max_len=None, cap: int = WORD_CAP):
     """Compare every series coefficient up to word length n1 + n2 (or the
     explicit max_len override). Returns (equivalent, first differing word or
-    None). Differences are judged against residual_tol * scale with scale the
-    largest coefficient magnitude seen, floored at 1."""
+    None). The coefficients of each word length are judged against
+    residual_tol * scale, with scale the largest coefficient magnitude of
+    that length in either tuple, floored at 1, so a large coefficient of one
+    length cannot mask a difference at another. Raises Overflow when the
+    coefficients of a length are reached that are not representable."""
     validate(t1)
     validate(t2)
     L = t1.n + t2.n if max_len is None else int(max_len)
     if L > cap:
         raise DimensionTooLarge(f"word length bound {L} exceeds cap {cap}")
-    co1 = [blk @ t1.c for blk in _prefix_vectors(t1.A, t1.N, t1.b, L)]
-    co2 = [blk @ t2.c for blk in _prefix_vectors(t2.A, t2.N, t2.b, L)]
-    scale = max(
-        1.0,
-        max(float(np.max(np.abs(x))) for x in co1),
-        max(float(np.max(np.abs(x))) for x in co2),
-    )
-    thresh = tol.residual_tol * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        co1 = [blk @ t1.c for blk in _prefix_vectors(t1.A, t1.N, t1.b, L)]
+        co2 = [blk @ t2.c for blk in _prefix_vectors(t2.A, t2.N, t2.b, L)]
     for k in range(L + 1):
-        diff = np.abs(co1[k] - co2[k])
-        if np.any(diff > thresh):
-            return False, word_at(k, int(np.argmax(diff > thresh)))
+        m1 = float(np.max(np.abs(co1[k])))
+        m2 = float(np.max(np.abs(co2[k])))
+        if not math.isfinite(m1 + m2):
+            raise Overflow(f"series coefficients of length {k} overflow")
+        over = np.abs(co1[k] - co2[k]) > tol.residual_tol * max(1.0, m1, m2)
+        if np.any(over):
+            return False, word_at(k, int(np.argmax(over)))
     return True, None
 
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (TYPE_I, TYPE_II, FourTuple, SampledSystem, classify,
-                     in_b_alpha, io_equivalent, phi_inverse, phi_map, psi,
-                     psi_inverse, pulse_family_pair, rescale, respond_pulse,
-                     sample_in_B_alpha, sample_in_C, sample_in_G0,
-                     sample_in_M, sampled_pair, simulate, single_pulse_pair,
-                     twin_via_T)
-from bilinid.counterex import BETA_TEST_SET, gaussian_tuple
+from bilinid import (TYPE_I, TYPE_II, FourTuple, PiecewiseConstantInput,
+                     SampledSystem, classify, in_b_alpha, io_equivalent,
+                     phi_inverse, phi_map, psi, psi_inverse, pulse_family_pair,
+                     rescale, respond_pulse, sample_in_B_alpha, sample_in_C,
+                     sample_in_G0, sample_in_M, sampled_pair, simulate,
+                     single_pulse_pair, twin_via_T)
+from bilinid.counterex import BETA_TEST_SET, _difference, gaussian_tuple
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
                             NotInBalpha, NotInC, NotInG0, NoValidL)
 
@@ -87,6 +87,23 @@ class TestTwin:
             y1, y2 = float(t.c @ v1), float(th.c @ v2)
             assert abs(y1 - y2) <= 1e-8 * max(1.0, abs(y1))
             v1, v2 = G1 @ v1, G2 @ v2
+
+
+class TestDifferenceSystem:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([TYPE_I, TYPE_II]))
+    def test_output_is_the_difference_of_outputs(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        s1 = gaussian_tuple(int(rng.integers(1, 4)), rng, kind, scale=0.6)
+        s2 = gaussian_tuple(int(rng.integers(1, 4)), rng, kind, scale=0.6)
+        u = PiecewiseConstantInput([0.0, 0.7, 1.9], rng.uniform(-1.5, 1.5, 3),
+                                   4.0)
+        grid = np.linspace(0.0, 3.0, 31)
+        y1 = simulate(s1, u, grid).outputs
+        y2 = simulate(s2, u, grid).outputs
+        yd = simulate(_difference(s1, s2), u, grid).outputs
+        scale = max(1.0, np.max(np.abs(y1)), np.max(np.abs(y2)))
+        assert np.max(np.abs(yd - (y1 - y2))) <= 1e-12 * scale
 
 
 class TestNormalizationMaps:

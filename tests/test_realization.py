@@ -7,7 +7,7 @@ from bilinid import (DEFAULT_TOL, FourTuple, conjugate, extended_obs,
                      krylov, reach_obs, self_dual_T, series_coefficient,
                      similarity_between, word_at)
 from bilinid.errors import (DimensionTooLarge, NotCanonical,
-                            NotCanonicalTriple, NotSimilar, ZeroS)
+                            NotCanonicalTriple, NotSimilar, Overflow, ZeroS)
 
 from oracles import all_words, brute_coefficient
 
@@ -130,6 +130,26 @@ class TestIoEquivalence:
             io_equivalent(t, t)
         eq, _ = io_equivalent(t, t, max_len=5)
         assert eq
+
+    def test_large_coefficients_do_not_mask_a_short_word(self):
+        # A^12 b reaches 1e12, far above the 0.05 change in c b
+        A = np.diag([10.0, -0.1, -0.2, -0.3, -0.4, -0.5])
+        N = 0.1 * np.diag(np.arange(1.0, 7.0))
+        c2 = np.ones(6)
+        c2[1] += 0.05
+        eq, word = io_equivalent(FourTuple(A, N, np.ones(6), np.ones(6)),
+                                 FourTuple(A, N, np.ones(6), c2))
+        assert not eq and word == ""
+
+    def test_overflowing_coefficients(self):
+        big = FourTuple([[1e300]], [[0.0]], [1.0], [1.0])
+        # equal c b, then c A b = 1e300 against 0, before anything overflows
+        other = FourTuple([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)),
+                          [1.0, 0.0], [1.0, 0.0])
+        assert io_equivalent(big, other) == (False, "A")
+        # equal up to length 1; length 2 is 1e600
+        with pytest.raises(Overflow):
+            io_equivalent(big, FourTuple(big.A, big.N, big.b, big.c))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))

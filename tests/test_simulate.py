@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bilinid import (FourTuple, PiecewiseConstantInput, SampledSystem,
                      constant_input, phi1, pulse_input, respond_pulse,
                      sample_discrete, simulate)
-from bilinid.errors import GridOutOfRange
+from bilinid.errors import GridOutOfRange, Overflow
 from bilinid.simulate import _march
 
 from oracles import simulate_rk4
@@ -78,6 +78,23 @@ class TestSimulate:
         ours = simulate(t, u, grid).outputs
         ref = simulate_rk4(t, u, grid)
         assert np.allclose(ours, ref, atol=1e-9, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_repeated_steps_across_breakpoints_match_rk4(self, kind):
+        # grid spacing 0.25 is exact in binary, so most steps share one
+        # (level, length) pair; the breakpoints fall between grid points
+        t = _random_system(21, kind)
+        u = PiecewiseConstantInput([0.0, 0.6, 1.3, 2.1], [1.2, -0.7, 0.4, 1.2],
+                                   3.5)
+        grid = 0.25 * np.arange(0, 13)
+        ours = simulate(t, u, grid).outputs
+        ref = simulate_rk4(t, u, grid)
+        assert np.allclose(ours, ref, atol=1e-9, rtol=1e-9)
+
+    def test_overflowing_step_raises(self):
+        t = FourTuple([[800.0]], [[0.0]], [1.0], [1.0])
+        with pytest.raises(Overflow):
+            simulate(t, constant_input(0.0, 2.0), [1.0])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
