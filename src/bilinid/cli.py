@@ -12,12 +12,11 @@ import argparse
 import dataclasses
 import json
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .acceptance import ALL_CRITERIA, run_all
+from .acceptance import ALL_CRITERIA, _rng, run_all
 from .core import (_dumps, _loads, from_json, input_from_dict, pair_to_json,
                    pulse_input, to_json, trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
@@ -39,11 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise _UsageError()  # message already reported
-
-
-def _rng(seed, label: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(label.encode()),))
-    return np.random.default_rng(ss)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -288,12 +288,8 @@ def from_json(text: str) -> FourTuple:
 def trajectory_to_json(tr: Trajectory) -> str:
     doc = {"times": _enc_vec(tr.times), "outputs": _enc_vec(tr.outputs)}
     if tr.states is not None:
-        doc["states"] = _enc_mat_rect(tr.states)
+        doc["states"] = _enc_mat(tr.states)
     return _dumps(doc)
-
-
-def _enc_mat_rect(m) -> list:
-    return [_enc_vec(row) for row in np.asarray(m)]
 
 
 def trajectory_from_json(text: str) -> Trajectory:

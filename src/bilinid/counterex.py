@@ -371,15 +371,15 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     sigma_hat = FourTuple(t.A, P @ M_j @ Pinv, P @ bhat_j, t.c, TYPE_I)
     sigma = t.with_kind(TYPE_I)
 
+    diff = _difference(sigma, sigma_hat)
     residual = 0.0
     for k in range(7):
         u_seq = [alpha] * k + [0.0] * (10 - k)
-        ys = [y for _, y in sample_discrete(sigma, tau, u_seq)]
-        yh = [y for _, y in sample_discrete(sigma_hat, tau, u_seq)]
-        residual = max(residual, float(np.max(np.abs(np.array(ys) - np.array(yh)))))
+        gaps = [abs(y) for _, y in sample_discrete(diff, tau, u_seq)]
+        residual = max(residual, max(gaps))
 
     grid = np.linspace(0.0, 3.0, 301)
-    gap = respond_pulse(_difference(sigma, sigma_hat), 0.0, alpha, alpha, grid)
+    gap = respond_pulse(diff, 0.0, alpha, alpha, grid)
     disc = float(np.max(np.abs(gap.outputs)))
     if disc <= tol.agree_tol:
         raise NoDistinguisherFound(

@@ -5,26 +5,28 @@ The pipeline rests on two facts about the pulse response. After the pulse
 ends the system coasts: y(tau + s) = c e^{As} x(tau), so (A, c) and the
 states x(tau) are recoverable by linear realization (Hankel SVD, then
 least squares through the observability map). And the end-of-pulse state
-as a function of width,
+obeys an exact transition in the width: with G = A + alpha N,
 
-    kind I:  x(tau) = alpha * int_0^tau e^{(A+alpha N)s} ds b
-    kind II: x(tau) = e^{(A+alpha N)tau} b,
+    kind I:  x(tau + delta) = e^{G delta} x(tau) + alpha phi1(G, delta) b
+    kind II: x(tau + delta) = e^{G delta} x(tau).
 
-has w(tau) := x'(tau)/alpha (kind I) or x(tau) (kind II) equal to
-e^{(A+alpha N)tau} b, so b = w(0) and the regression w'(tau) = G w(tau)
-yields G = A + alpha N, hence N = (G - A)/alpha.
-
-Everything is exact up to matrix-exponential accuracy plus finite-difference
-truncation; the stencils below use a micro-step well separated from the
-tau-grid spacing to keep truncation near roundoff.
+So the states on the grid tau_k = k delta are regressed on their
+predecessors (on [x; 1] for kind I) by least squares, and one principal
+logarithm of the fitted transition over delta gives G; for kind I the
+augmented transition [[F, g], [0, 1]] is Van Loan's block
+expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b,
+while kind II reads b = x(0). Then N = (G - A)/alpha. This is the
+realization step applied twice, and it is exact up to the accuracy of the
+matrix exponential and logarithm. Either logarithm needs its transition
+off the negative real axis, so h and delta are halved until it is.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TYPE_I, TYPE_II, FourTuple, validate
+from .core import TYPE_I, FourTuple, validate
 from .errors import (NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
 from .matfun import DEFAULT_TOL, Tolerances, expm, phi1, principal_logm, rank_of
@@ -52,8 +54,6 @@ class IdentifyConfig:
     n_max: int = 8
     h: float = 0.2
     tau_span: float = 2.0
-    fd_step: float = 0.01
-    richardson_step: float = 0.08
     tau0_low: float = 0.5
     tau0_high: float = 1.5
     max_tau0_draws: int = 8
@@ -156,37 +156,55 @@ def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
     return np.array(states), np.array(residuals)
 
 
+def _halving(step: float, halvings: int, attempt):
+    """attempt(step), halving step after each SpectrumOnCut at most
+    `halvings` times; the last failure propagates."""
+    for _ in range(halvings):
+        try:
+            return attempt(step)
+        except SpectrumOnCut:
+            step *= 0.5
+    return attempt(step)
+
+
 def _realize_with_retries(oracle, m, rng, cfg, tol):
-    h = cfg.h
-    last = None
-    for _ in range(cfg.max_h_halvings + 1):
-        for _ in range(cfg.max_tau0_draws):
+    def at(h):
+        for draw in range(cfg.max_tau0_draws):
             tau0 = float(rng.uniform(cfg.tau0_low, cfg.tau0_high))
             try:
-                A, x0, c, svals = realize_free_response(oracle, tau0, h, m, tol)
-                return A, x0, c, svals, tau0, h
-            except OrderAmbiguous as e:
-                last = e
-            except SpectrumOnCut as e:
-                last = e
-                break
-        else:
-            raise last
-        h *= 0.5
-    raise last
+                return (*realize_free_response(oracle, tau0, h, m, tol), tau0, h)
+            except OrderAmbiguous:
+                if draw + 1 == cfg.max_tau0_draws:
+                    raise
+
+    return _halving(cfg.h, cfg.max_h_halvings, at)
 
 
-# 7-point interior stencils (6th order); offsets are -3..3 in units of the step
-_D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-_OFFSETS = np.arange(-3, 4)
+def _width_transition(oracle, A, c, h, m, delta, K, tol):
+    """States x(k delta), k = 0..K, and the logarithm over delta of the
+    transition that carries each to the next (augmented by [0, 1] for
+    kind I, whose regressors are [x; 1])."""
+    X, state_res = recover_states(oracle, A, c, delta * np.arange(K + 1), h, m, tol)
+    X0, X1 = X[:-1], X[1:]
+    if oracle.kind == TYPE_I:
+        X0 = np.column_stack([X0, np.ones(K)])
+    # rows: x(tau_{k+1})' = [x(tau_k); 1]' F'
+    Ft, *_ = np.linalg.lstsq(X0, X1, rcond=None)
+    fit = float(np.linalg.norm(X0 @ Ft - X1)) / max(1.0, float(np.linalg.norm(X1)))
+    if fit > 1e-5:
+        raise PoorFit(f"width-transition regression residual {fit:.3e}")
+    F = Ft.T
+    if oracle.kind == TYPE_I:
+        F = np.vstack([F, np.eye(1, F.shape[1], F.shape[0])])
+    return principal_logm(F) / delta, X[0], fit, state_res, delta
 
 
 def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
              tol: Tolerances = DEFAULT_TOL,
              rng: Optional[np.random.Generator] = None) -> IdentificationResult:
-    """Full pipeline: realize (A, c), recover states on a tau-grid, form
-    w(tau), read off b = w(0), regress w' = G w, set N = (G - A)/alpha."""
+    """Full pipeline: realize (A, c), recover the states on a uniform
+    tau-grid, regress each on its predecessor and take the logarithm of the
+    fitted transition for G (and alpha b, kind I), set N = (G - A)/alpha."""
     cfg = config or IdentifyConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     alpha = oracle.alpha
@@ -196,57 +214,21 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     n = A.shape[0]
 
     K = 2 * cfg.n_max + 2
-    tau_grid = cfg.tau_span * np.arange(1, K + 1) / K
-    # first-derivative step small, second-derivative step larger (its
-    # roundoff grows as 1/step^2); both stencils must stay inside (0, tau_1)
-    t1 = float(tau_grid[0])
-    d = min(cfg.fd_step, t1 / 8.0)
-    d2 = min(3.0 * cfg.fd_step, t1 / 4.0)
-
-    wanted = [0.0]
-    rich = [cfg.richardson_step / 2.0 ** k for k in range(4)]
+    try:
+        L, x0, fit, state_res, delta = _halving(
+            cfg.tau_span / K, cfg.max_h_halvings,
+            lambda d: _width_transition(oracle, A, c, h_used, m, d, K, tol))
+    except SpectrumOnCut as e:
+        # a rotation puts e^{G delta} on the cut at one of the halved steps
+        # at most; on the cut at every step, the fitted transition has a zero
+        # eigenvalue because the pulse-end states do not span the state space
+        raise NotCanonicalResult(
+            f"pulse-end states do not span the {n} identified dimensions ({e})"
+        ) from e
     if oracle.kind == TYPE_I:
-        wanted += rich
-    for tau in tau_grid:
-        wanted += [tau + k * d for k in _OFFSETS]
-        if oracle.kind == TYPE_I:
-            wanted += [tau + k * d2 for k in _OFFSETS]
-    taus = sorted({float(v) for v in wanted})
-    states, state_res = recover_states(oracle, A, c, taus, h_used, m, tol)
-    x = dict(zip(taus, states))
-
-    if oracle.kind == TYPE_I:
-        # w = x'/alpha and w' = x''/alpha from the micro-stencils
-        W = np.array([
-            sum(_D1[i] * x[tau + _OFFSETS[i] * d] for i in range(7)) / (d * alpha)
-            for tau in tau_grid
-        ])
-        Wp = np.array([
-            sum(_D2[i] * x[tau + _OFFSETS[i] * d2] for i in range(7)) / (d2 * d2 * alpha)
-            for tau in tau_grid
-        ])
-        # b = w(0) = x'(0)/alpha by Richardson extrapolation of one-sided
-        # difference quotients (x(0) enters exactly; kind I starts at 0)
-        R = [(x[s] - x[0.0]) / s for s in rich]
-        for j in range(1, 4):
-            R = [(2.0 ** j * R[i + 1] - R[i]) / (2.0 ** j - 1.0)
-                 for i in range(len(R) - 1)]
-        b = R[0] / alpha
+        G, b = L[:n, :n], L[:n, n] / alpha
     else:
-        W = np.array([x[tau] for tau in tau_grid])
-        Wp = np.array([
-            sum(_D1[i] * x[tau + _OFFSETS[i] * d] for i in range(7)) / d
-            for tau in tau_grid
-        ])
-        b = x[0.0]
-
-    # W rows are w(tau_j)'; solve W G' = Wp for G
-    G, *_ = np.linalg.lstsq(W, Wp, rcond=None)
-    G = G.T
-    scale = max(1.0, float(np.linalg.norm(Wp)))
-    fit = float(np.linalg.norm(W @ G.T - Wp)) / scale
-    if fit > 1e-5:
-        raise PoorFit(f"state-derivative regression residual {fit:.3e}")
+        G, b = L, x0
     N = (G - A) / alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
@@ -268,5 +250,6 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
             "max_state_residual": float(np.max(state_res)) if state_res.size else 0.0,
             "tau0": tau0,
             "h": h_used,
+            "delta": delta,
         },
     )

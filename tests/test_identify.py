@@ -6,7 +6,8 @@ from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
                      Tolerances, identify, io_equivalent, is_canonical,
                      oracle_from_tuple, realize_free_response, recover_states,
                      respond_pulse, sample_in_M, similarity_between)
-from bilinid.errors import OrderAmbiguous, PoorFit, UnobservablePair
+from bilinid.errors import (NotCanonicalResult, OrderAmbiguous, PoorFit,
+                            UnobservablePair)
 
 LOOSE = Tolerances(rank_tol=1e-10, residual_tol=1e-5, agree_tol=1e-7)
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
@@ -136,7 +137,7 @@ class TestIdentify:
         res = _identify(SCALAR)
         d = res.diagnostics
         assert set(d) >= {"hankel_singular_values", "fit_residual",
-                          "max_state_residual", "tau0", "h"}
+                          "max_state_residual", "tau0", "h", "delta"}
         assert d["fit_residual"] < 1e-8
         assert 0.5 <= d["tau0"] <= 1.5
 
@@ -159,3 +160,42 @@ class TestIdentify:
         with pytest.raises(OrderAmbiguous):
             identify(silent, IdentifyConfig(n_max=3),
                      rng=np.random.default_rng(0))
+
+    def test_transition_on_the_cut_halves_delta(self):
+        # A + alpha N turns by exactly pi per default delta = 2/10, so
+        # e^{G delta} = -I and the states on the delta-grid alternate b, -b
+        A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+        w = np.pi / 0.2
+        G = np.array([[0.0, -w], [w, 0.0]])
+        truth = FourTuple(A, G - A, [1.0, 0.5], [1.0, -0.7], TYPE_II)
+        res = _identify(truth)
+        assert res.n_identified == 2
+        assert res.diagnostics["delta"] == pytest.approx(0.1)
+        eq, _ = io_equivalent(res.tuple, truth, LOOSE)
+        assert eq
+
+    def test_query_budget(self):
+        # 2m queries realize (A, c), m per width recover the K + 1 states
+        truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19), scale=0.5)
+        base = oracle_from_tuple(truth, 1.0)
+        calls = []
+
+        def respond(tau, t):
+            calls.append((tau, t))
+            return base.respond(tau, t)
+
+        res = identify(PulseOracle(respond, 1.0, truth.kind),
+                       IdentifyConfig(n_max=4), rng=np.random.default_rng(0))
+        assert res.n_identified == 2
+        m, K = 5, 10
+        assert len(calls) <= 2 * m + (K + 1) * m == 65
+
+    def test_states_short_of_the_order_are_not_canonical(self):
+        # (A, b) is reachable, so the coast has order 2, but b is an
+        # eigenvector of G = A + N: every pulse-end state lies on one line
+        A = np.array([[-0.5, 0.3], [0.8, -1.2]])
+        for kind in (TYPE_I, TYPE_II):
+            truth = FourTuple(A, np.diag([-1.0, -2.0]) - A, [1.0, 0.0],
+                              [1.0, 0.4], kind)
+            with pytest.raises(NotCanonicalResult):
+                _identify(truth)
