@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import ALL_CRITERIA, _rng, run_all
+from .acceptance import ALL_CRITERIA, run_all
 from .core import (_dumps, _loads, from_json, input_from_dict, pair_to_json,
-                   pulse_input, to_json, trajectory_to_json)
+                   pulse_input, seeded_rng, to_json, trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         sample_in_C, sample_in_G0, sampled_pair,
                         single_pulse_pair)
@@ -212,7 +212,7 @@ def _cmd_classify(args):
 
 def _cmd_counterexample(args):
     tol = _tolerances(args.tol)
-    rng = _rng(args.rng_seed, "counterexample")
+    rng = seeded_rng(args.rng_seed, "counterexample")
     seed = _load_tuple(args.seed_tuple) if args.seed_tuple else None
     cls = args.input_class
     if cls == "single-pulse":
@@ -243,7 +243,7 @@ def _cmd_identify(args):
         overrides["h"] = args.h
     cfg = dataclasses.replace(IdentifyConfig(), **overrides)
     res = identify(oracle_from_tuple(t, args.alpha), cfg, tol,
-                   _rng(args.rng_seed, "identify"))
+                   seeded_rng(args.rng_seed, "identify"))
     _emit({"n": res.n_identified,
            "tuple": json.loads(to_json(res.tuple)),
            "diagnostics": res.diagnostics}, args.out)

@@ -10,9 +10,12 @@ interpretation. All values are immutable once constructed.
 
 Matrices and vectors serialize as decimal strings (shortest round-trip
 representation) so JSON fixtures are bit-exact across platforms.
+seeded_rng(seed, label) gives each labelled use of one seed its own
+reproducible stream.
 """
 
 import json
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +26,11 @@ from .errors import NonFiniteEntry, ParseError, ShapeMismatch
 TYPE_I = "I"
 TYPE_II = "II"
 KINDS = (TYPE_I, TYPE_II)
+
+
+def seeded_rng(seed, label: str) -> np.random.Generator:
+    ss = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(label.encode()),))
+    return np.random.default_rng(ss)
 
 
 def _freeze(a):

@@ -115,3 +115,7 @@ class NotCanonicalResult(BilinError):
 
 class PoorFit(BilinError):
     pass
+
+
+class Aliased(SpectrumOnCut):
+    """The width step is too coarse for the rotation of A + alpha N."""

@@ -18,7 +18,10 @@ expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b,
 while kind II reads b = x(0). Then N = (G - A)/alpha. This is the
 realization step applied twice, and it is exact up to the accuracy of the
 matrix exponential and logarithm. Either logarithm needs its transition
-off the negative real axis, so h and delta are halved until it is.
+off the negative real axis, so h and delta are halved until it is. delta
+is also halved until the fitted flow reaches the state the realization
+gives at the off-grid width tau0, which a rotation by more than pi per
+delta, folded back by the principal branch, misses.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TYPE_I, FourTuple, validate
-from .errors import (NotCanonicalResult, OrderAmbiguous, PoorFit,
+from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
 from .matfun import DEFAULT_TOL, Tolerances, expm, phi1, principal_logm, rank_of
 from .realization import is_canonical, krylov
@@ -57,7 +60,7 @@ class IdentifyConfig:
     tau0_low: float = 0.5
     tau0_high: float = 1.5
     max_tau0_draws: int = 8
-    max_h_halvings: int = 6
+    max_h_halvings: int = 6  # bounds the h and, apart, the delta halvings
 
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
@@ -180,23 +183,41 @@ def _realize_with_retries(oracle, m, rng, cfg, tol):
     return _halving(cfg.h, cfg.max_h_halvings, at)
 
 
-def _width_transition(oracle, A, c, h, m, delta, K, tol):
+def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
     """States x(k delta), k = 0..K, and the logarithm over delta of the
     transition that carries each to the next (augmented by [0, 1] for
-    kind I, whose regressors are [x; 1])."""
+    kind I, whose regressors are [x; 1]). The flow of that logarithm must
+    also reach x_tau0, the state at the off-grid width tau0."""
     X, state_res = recover_states(oracle, A, c, delta * np.arange(K + 1), h, m, tol)
-    X0, X1 = X[:-1], X[1:]
+    Z, z = X, x_tau0
     if oracle.kind == TYPE_I:
-        X0 = np.column_stack([X0, np.ones(K)])
+        Z, z = np.column_stack([X, np.ones(K + 1)]), np.append(x_tau0, 1.0)
+    Z0, X1 = Z[:-1], X[1:]
+    d = Z0.shape[1]
+    r = rank_of(Z0, tol)
+    if r < d:
+        if rank_of(np.vstack([Z0, z]), tol) == r:
+            raise NotCanonicalResult(
+                f"pulse-end states span {r} of {d} regressor dimensions")
+        raise Aliased(f"states on the delta-grid span {r} of {d} regressor "
+                      f"dimensions, the state at tau0 one more")
     # rows: x(tau_{k+1})' = [x(tau_k); 1]' F'
-    Ft, *_ = np.linalg.lstsq(X0, X1, rcond=None)
-    fit = float(np.linalg.norm(X0 @ Ft - X1)) / max(1.0, float(np.linalg.norm(X1)))
+    Ft, *_ = np.linalg.lstsq(Z0, X1, rcond=None)
+    scale = max(1.0, float(np.linalg.norm(X1)))
+    fit = float(np.linalg.norm(Z0 @ Ft - X1)) / scale
     if fit > 1e-5:
         raise PoorFit(f"width-transition regression residual {fit:.3e}")
     F = Ft.T
     if oracle.kind == TYPE_I:
-        F = np.vstack([F, np.eye(1, F.shape[1], F.shape[0])])
-    return principal_logm(F) / delta, X[0], fit, state_res, delta
+        F = np.vstack([F, np.eye(1, d, d - 1)])
+    L = principal_logm(F) / delta
+    # a rotation by more than pi per delta fits the grid exactly but comes
+    # back folded into (-pi, pi); between grid points the flow then misses
+    reached = (expm(tau0 * L) @ Z[0])[:X.shape[1]]
+    miss = float(np.linalg.norm(reached - x_tau0)) / scale
+    if miss > 1e-5:
+        raise Aliased(f"the fitted flow misses the state at tau0 by {miss:.3e}")
+    return L, X[0], fit, state_res, delta
 
 
 def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
@@ -210,21 +231,14 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     alpha = oracle.alpha
     m = cfg.n_max + 1
 
-    A, _, c, svals, tau0, h_used = _realize_with_retries(oracle, m, rng, cfg, tol)
+    A, x_tau0, c, svals, tau0, h_used = _realize_with_retries(oracle, m, rng, cfg, tol)
     n = A.shape[0]
 
     K = 2 * cfg.n_max + 2
-    try:
-        L, x0, fit, state_res, delta = _halving(
-            cfg.tau_span / K, cfg.max_h_halvings,
-            lambda d: _width_transition(oracle, A, c, h_used, m, d, K, tol))
-    except SpectrumOnCut as e:
-        # a rotation puts e^{G delta} on the cut at one of the halved steps
-        # at most; on the cut at every step, the fitted transition has a zero
-        # eigenvalue because the pulse-end states do not span the state space
-        raise NotCanonicalResult(
-            f"pulse-end states do not span the {n} identified dimensions ({e})"
-        ) from e
+    L, x0, fit, state_res, delta = _halving(
+        cfg.tau_span / K, cfg.max_h_halvings,
+        lambda d: _width_transition(oracle, A, c, h_used, m, x_tau0, tau0,
+                                    d, K, tol))
     if oracle.kind == TYPE_I:
         G, b = L[:n, :n], L[:n, n] / alpha
     else:

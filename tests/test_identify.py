@@ -161,41 +161,55 @@ class TestIdentify:
             identify(silent, IdentifyConfig(n_max=3),
                      rng=np.random.default_rng(0))
 
-    def test_transition_on_the_cut_halves_delta(self):
-        # A + alpha N turns by exactly pi per default delta = 2/10, so
-        # e^{G delta} = -I and the states on the delta-grid alternate b, -b
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    @pytest.mark.parametrize("turns, delta", [(1.0, 0.1), (1.5, 0.1),
+                                              (2.0, 0.05)])
+    def test_fast_rotation_halves_delta(self, kind, turns, delta):
+        # A + N turns by `turns` pi per default delta = 2/10. At pi, e^{G
+        # delta} = -I lies on the cut; at 1.5 pi the principal logarithm
+        # folds the turn back to -pi/2; at 2 pi every grid state is b. The
+        # state at the off-grid tau0 exposes the last two.
         A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
-        w = np.pi / 0.2
+        w = turns * np.pi / 0.2
         G = np.array([[0.0, -w], [w, 0.0]])
-        truth = FourTuple(A, G - A, [1.0, 0.5], [1.0, -0.7], TYPE_II)
+        truth = FourTuple(A, G - A, [1.0, 0.5], [1.0, -0.7], kind)
         res = _identify(truth)
         assert res.n_identified == 2
-        assert res.diagnostics["delta"] == pytest.approx(0.1)
+        assert res.diagnostics["delta"] == pytest.approx(delta)
         eq, _ = io_equivalent(res.tuple, truth, LOOSE)
         assert eq
 
-    def test_query_budget(self):
-        # 2m queries realize (A, c), m per width recover the K + 1 states
-        truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19), scale=0.5)
-        base = oracle_from_tuple(truth, 1.0)
+    @staticmethod
+    def _counting(truth, alpha=1.0):
+        base = oracle_from_tuple(truth, alpha)
         calls = []
 
         def respond(tau, t):
             calls.append((tau, t))
             return base.respond(tau, t)
 
-        res = identify(PulseOracle(respond, 1.0, truth.kind),
-                       IdentifyConfig(n_max=4), rng=np.random.default_rng(0))
+        return PulseOracle(respond, alpha, truth.kind), calls
+
+    def test_query_budget(self):
+        # 2m queries realize (A, c), m per width recover the K + 1 states
+        truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19), scale=0.5)
+        oracle, calls = self._counting(truth)
+        res = identify(oracle, IdentifyConfig(n_max=4),
+                       rng=np.random.default_rng(0))
         assert res.n_identified == 2
         m, K = 5, 10
         assert len(calls) <= 2 * m + (K + 1) * m == 65
 
     def test_states_short_of_the_order_are_not_canonical(self):
         # (A, b) is reachable, so the coast has order 2, but b is an
-        # eigenvector of G = A + N: every pulse-end state lies on one line
+        # eigenvector of G = A + N: every pulse-end state lies on one line,
+        # the one at tau0 too, so no smaller delta is tried
         A = np.array([[-0.5, 0.3], [0.8, -1.2]])
         for kind in (TYPE_I, TYPE_II):
             truth = FourTuple(A, np.diag([-1.0, -2.0]) - A, [1.0, 0.0],
                               [1.0, 0.4], kind)
+            oracle, calls = self._counting(truth)
             with pytest.raises(NotCanonicalResult):
-                _identify(truth)
+                identify(oracle, IdentifyConfig(n_max=4),
+                         rng=np.random.default_rng(0))
+            assert len(calls) <= 65
