@@ -18,10 +18,12 @@ expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b,
 while kind II reads b = x(0). Then N = (G - A)/alpha. This is the
 realization step applied twice, and it is exact up to the accuracy of the
 matrix exponential and logarithm. Either logarithm needs its transition
-off the negative real axis, so h and delta are halved until it is. delta
-is also halved until the fitted flow reaches the state the realization
-gives at the off-grid width tau0, which a rotation by more than pi per
-delta, folded back by the principal branch, misses.
+off the negative real axis, so h and delta are halved until it is. Both
+are also checked off their grids, where a rotation by more than pi per
+step, folded back by the principal branch, misses: h is halved until the
+realized coast predicts one extra sample y(2 tau0), tau0 after the pulse
+ends, and delta until the fitted flow reaches the state the realization
+gives at the off-grid width tau0.
 """
 
 from dataclasses import dataclass
@@ -88,10 +90,7 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
         if tau < 0 or time < 0:
             raise ValueError("tau and t must be nonnegative")
         if time <= tau:
-            if t.kind == TYPE_I:
-                x = phi1(G, time) @ (alpha * b)
-            else:
-                x = expm(G * time) @ b
+            x = state_at_end(time)  # under the pulse: a pulse of width time
         else:
             s = time - tau
             E = coast.get(s)
@@ -111,8 +110,12 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     Samples y(tau0 + j h) for j = 0..2m-1, forms the m x m Hankel, truncates
     its SVD at rank_tol to fix the order n, factors it into observability and
     state parts, and lifts the discrete transition to continuous time through
-    the principal logarithm. Returns (A, x(tau0), c, singular_values), all in
-    the identified basis.
+    the principal logarithm. One more sample, y(2 tau0), lies off the h-grid
+    (tau0 is random) and must match c e^{A tau0} x(tau0) to 1e-5 on the scale
+    of the Hankel samples: a rotation by more than pi per h fits every grid
+    sample but comes back folded into (-pi, pi), which this exposes as
+    Aliased. Returns (A, x(tau0), c, singular_values), all in the identified
+    basis.
     """
     ys = np.array([oracle.respond(tau0, tau0 + j * h) for j in range(2 * m)])
     H0 = np.array([[ys[i + j] for j in range(m)] for i in range(m)])
@@ -132,7 +135,12 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     Ctr = root[:, None] * Vh[:n, :]
     F_d = np.linalg.pinv(Obs) @ H1 @ np.linalg.pinv(Ctr)
     A = principal_logm(F_d) / h
-    return A, Ctr[:, 0].copy(), Obs[0, :].copy(), s
+    x0, c = Ctr[:, 0], Obs[0, :]
+    miss = abs(c @ expm(tau0 * A) @ x0 - oracle.respond(tau0, 2 * tau0))
+    miss /= float(np.max(np.abs(ys)))
+    if miss > 1e-5:
+        raise Aliased(f"the coast misses y(2 tau0) off the h-grid by {miss:.3e}")
+    return A, x0.copy(), c.copy(), s
 
 
 def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
@@ -150,13 +158,11 @@ def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
     Gam = np.array(rows)
     if rank_of(Gam, tol) < n:
         raise UnobservablePair("(A, c) is not observable at rank_tol")
-    states, residuals = [], []
-    for tau in tau_grid:
-        ys = np.array([oracle.respond(tau, tau + j * h) for j in range(m)])
-        x, res, *_ = np.linalg.lstsq(Gam, ys, rcond=None)
-        states.append(x)
-        residuals.append(float(res[0]) if res.size else 0.0)
-    return np.array(states), np.array(residuals)
+    # one column of samples per width, one least-squares solve for all
+    Y = np.array([[oracle.respond(tau, tau + j * h) for j in range(m)]
+                  for tau in tau_grid]).T
+    X, res, *_ = np.linalg.lstsq(Gam, Y, rcond=None)
+    return X.T, (res if res.size else np.zeros(Y.shape[1]))
 
 
 def _halving(step: float, halvings: int, attempt):

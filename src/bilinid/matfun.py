@@ -7,6 +7,14 @@ augmented block exponential
     expm(t * [[Q, I], [0, 0]]) = [[e^{tQ}, int_0^t e^{sQ} ds], [0, I]]
 
 rather than Q^{-1}(e^{tQ} - I), so singular Q needs no special case.
+
+principal_logm diagonalizes: the one eigendecomposition M = V diag(lam) V^{-1}
+that supplies the eigenvalues for the branch-cut check also gives
+log M = V diag(log lam) V^{-1} (Higham, Functions of Matrices, 2008, 11).
+That loses about log10 cond(V) digits, so when cond(V) exceeds
+_EIG_COND_MAX (defective or nearly defective M, e.g. a Jordan block) it
+falls back to scipy's inverse scaling-and-squaring logm (Al-Mohy and
+Higham, 2012), which is slower but needs no eigenvector basis.
 """
 
 from dataclasses import dataclass
@@ -32,6 +40,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# eigenvector condition number above which principal_logm uses scipy's logm
+_EIG_COND_MAX = 1e4
 
 
 def expm(M):
@@ -87,16 +98,25 @@ def eigenvalues(M):
 def principal_logm(M):
     """Principal matrix logarithm, guarded: every eigenvalue must stay off
     the closed negative real axis, and the result L satisfies expm(L) = M
-    with eigenvalues of L having imaginary part in (-pi, pi)."""
+    with eigenvalues of L having imaginary part in (-pi, pi).
+
+    L = V diag(log lam) V^{-1} from the eigendecomposition of M, or
+    scipy.linalg.logm(M) when cond(V) > _EIG_COND_MAX."""
     M = np.asarray(M, dtype=float)
-    lam = eigenvalues(M)
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(str(e)) from None
     scale = max(1.0, float(np.max(np.abs(lam))))
     on_cut = (np.abs(lam.imag) <= 1e-12 * scale) & (lam.real <= 1e-12 * scale)
     if np.any(on_cut):
         raise SpectrumOnCut(
             f"eigenvalue {lam[np.argmax(on_cut)]} lies on the closed negative real axis"
         )
-    L = scipy.linalg.logm(M)
+    if np.linalg.cond(V) <= _EIG_COND_MAX:
+        L = (V * np.log(lam)) @ np.linalg.inv(V)
+    else:
+        L = scipy.linalg.logm(M)
     if np.max(np.abs(L.imag)) > 1e-8 * max(1.0, np.max(np.abs(L.real))):
         raise NoConvergence("principal logarithm is not real")
     L = L.real

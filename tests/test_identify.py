@@ -179,6 +179,21 @@ class TestIdentify:
         eq, _ = io_equivalent(res.tuple, truth, LOOSE)
         assert eq
 
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    def test_fast_coast_halves_h(self, kind):
+        # A turns by 1.5 pi per default h = 0.2: every Hankel sample fits
+        # the turn folded back to -pi/2, so only the off-grid sample
+        # y(2 tau0) shows that h must be halved
+        w = 1.5 * np.pi / 0.2
+        A = np.array([[-0.3, w], [-w, -0.3]])
+        G = np.array([[-0.5, 1.0], [-1.0, -0.2]])
+        truth = FourTuple(A, G - A, [1.0, 0.5], [1.0, -0.7], kind)
+        res = _identify(truth)
+        assert res.n_identified == 2
+        assert res.diagnostics["h"] == pytest.approx(0.1)
+        eq, _ = io_equivalent(res.tuple, truth, LOOSE)
+        assert eq
+
     @staticmethod
     def _counting(truth, alpha=1.0):
         base = oracle_from_tuple(truth, alpha)
@@ -191,14 +206,15 @@ class TestIdentify:
         return PulseOracle(respond, alpha, truth.kind), calls
 
     def test_query_budget(self):
-        # 2m queries realize (A, c), m per width recover the K + 1 states
+        # 2m queries realize (A, c), one off the h-grid checks the coast,
+        # m per width recover the K + 1 states
         truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19), scale=0.5)
         oracle, calls = self._counting(truth)
         res = identify(oracle, IdentifyConfig(n_max=4),
                        rng=np.random.default_rng(0))
         assert res.n_identified == 2
         m, K = 5, 10
-        assert len(calls) <= 2 * m + (K + 1) * m == 65
+        assert len(calls) <= 2 * m + 1 + (K + 1) * m == 66
 
     def test_states_short_of_the_order_are_not_canonical(self):
         # (A, b) is reachable, so the coast has order 2, but b is an
@@ -212,4 +228,4 @@ class TestIdentify:
             with pytest.raises(NotCanonicalResult):
                 identify(oracle, IdentifyConfig(n_max=4),
                          rng=np.random.default_rng(0))
-            assert len(calls) <= 65
+            assert len(calls) <= 66

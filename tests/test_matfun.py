@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from bilinid import (DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1,
@@ -131,6 +134,46 @@ class TestPrincipalLogm:
         if np.max(np.abs(eigenvalues(M).imag)) > 3.0:
             M = 0.2 * M
         assert np.allclose(principal_logm(expm(M)), M, atol=1e-8)
+
+    def test_jordan_block_takes_the_fallback(self):
+        # the eigenvectors of a Jordan block are parallel, so V diag(log
+        # lam) V^{-1} would return 0; scipy's logm is exact here
+        with mock.patch.object(scipy.linalg, "logm",
+                               wraps=scipy.linalg.logm) as spy:
+            L = principal_logm(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert spy.call_count == 1
+        assert np.array_equal(L, [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_three_by_three_jordan_block(self):
+        # log(2I + E) = log(2) I + E/2 - E^2/8 for the shift E
+        E = np.eye(3, k=1)
+        J = 2.0 * np.eye(3) + E
+        L = principal_logm(J)
+        assert np.allclose(L, np.log(2.0) * np.eye(3) + E / 2 - E @ E / 8,
+                           atol=1e-12)
+        assert np.allclose(expm(L), J, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_matches_scipy_on_well_conditioned_eigenvectors(self, seed):
+        # M = T D T^{-1}, D of 2x2 rotation-scaling blocks and positive
+        # reals, T a scaled orthogonal basis (cond <= 4); scipy's logm,
+        # which this path never calls, is the reference
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        D = np.diag(rng.uniform(0.2, 5.0, n))
+        for i in range(0, n - 1, 2):
+            r, th = rng.uniform(0.2, 5.0), rng.uniform(-3.0, 3.0)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                [np.sin(th), np.cos(th)]])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        T = Q * rng.uniform(0.5, 2.0, n)
+        M = T @ D @ np.linalg.inv(T)
+        with mock.patch.object(scipy.linalg, "logm",
+                               side_effect=AssertionError("fallback taken")):
+            L = principal_logm(M)
+        ref = scipy.linalg.logm(M)
+        assert np.allclose(L, ref.real, atol=1e-10, rtol=1e-10)
 
 
 class TestTolerances:
