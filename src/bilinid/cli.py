@@ -109,8 +109,6 @@ def _build_parser() -> _Parser:
                        help="test two systems for i/o equivalence")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.add_argument("--max-len", type=int, default=None,
-                   help="override the word-length bound")
     s.add_argument("--tol", action="append", metavar="NAME=VALUE")
     s.add_argument("--out")
 
@@ -180,8 +178,7 @@ def _cmd_simulate(args):
 
 def _cmd_check_equiv(args):
     tol = _tolerances(args.tol)
-    eq, word = io_equivalent(_load_tuple(args.a), _load_tuple(args.b), tol,
-                             max_len=args.max_len)
+    eq, word = io_equivalent(_load_tuple(args.a), _load_tuple(args.b), tol)
     _emit({"equivalent": eq, "word": word}, args.out)
     return 0
 

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
                    PiecewiseConstantInput, constant_input, validate)
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import in_B, io_equivalent, krylov, self_dual_T
+from .realization import _difference, in_B, io_equivalent, krylov, self_dual_T
 from .simulate import respond_pulse, sample_discrete, simulate
 
 
@@ -65,12 +64,9 @@ def classify(t: FourTuple, alpha: float = 1.0,
     in_g0 = False
     if linear_canonical:
         T = self_dual_T(A, b, c, tol)
-        commutes = in_B(N, T, tol)
-        diag["twin_obstruction"] = float(
-            np.linalg.norm(N @ T - T @ N.T)
-            / max(1.0, np.linalg.norm(T) * np.linalg.norm(N))
-        )
-        in_g0 = not commutes
+        diag["twin_obstruction"] = float(np.linalg.norm(N @ T - T @ N.T) / (
+            np.linalg.norm(T) * np.linalg.norm(N) or 1.0))
+        in_g0 = not in_B(N, T, tol)
 
     in_c = False
     if in_g0:
@@ -119,15 +115,6 @@ def _twin(A, N, b, c, tol):
     the linear triple (A, b, c)."""
     T = self_dual_T(A, b, c, tol)
     return T @ N.T @ np.linalg.inv(T)
-
-
-def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
-    """The block-diagonal system whose output is y1 - y2 under any input:
-    (A1 (+) A2, N1 (+) N2, [b1; b2], [c1, -c2]), of the kind both share."""
-    return FourTuple(scipy.linalg.block_diag(s1.A, s2.A),
-                     scipy.linalg.block_diag(s1.N, s2.N),
-                     np.concatenate([s1.b, s2.b]),
-                     np.concatenate([s1.c, -s2.c]), s1.kind)
 
 
 def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:

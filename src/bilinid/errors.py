@@ -41,10 +41,6 @@ class SpectrumOnCut(BilinError):
 
 # -- realization -----------------------------------------------------------
 
-class DimensionTooLarge(BilinError):
-    pass
-
-
 class NotCanonical(BilinError):
     pass
 

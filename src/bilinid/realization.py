@@ -6,19 +6,46 @@ c A_{i1} ... A_{ik} b (A_0 = A, A_1 = N) agree for every word; checking all
 words of length <= n1 + n2 suffices. Words are written as strings over
 {"A", "N"}; the empty string is the empty word and orderings are
 shortest-first, then lexicographic with A < N.
+
+No word is enumerated. The products of length k act on v as the columns of
+P_k = [A_w v : |w| = k], and P_{k+1} P_{k+1}' = A P_k P_k' A' + N P_k P_k' N'.
+So the word layers X_0 = v, X_{k+1} = [A X_k, N X_k] keep the column span
+and the singular values of P_k, and a layer wider than 4n that a longer
+layer is built from is compressed to R' from one QR factorization
+X' = Q R: at most n columns, same Gram matrix.
+The code keeps each layer as its rows Z_k = X_k', so one product
+Z_k [A', N'] and a reshape give the next. [A, N] is pre-scaled to unit
+2-norm and each layer to unit 2-norm, which scales P_k by one factor per
+length: nothing overflows, and every test below is relative, one length at
+a time. Time scaling (A, N, b) -> s (A, N, b) leaves the layers unchanged.
+
+Equivalence runs the layers of the stacked pair (A1 (+) A2, N1 (+) N2,
+[b1; b2]). ||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
+length k, and length k fails when it exceeds residual_tol times the larger
+coefficient norm of the two tuples, max(||c1 X_k^top||, ||c2 X_k^bot||),
+plus a rounding allowance. The allowance (unit r = [c1, -c2] / ||.||) is
+err_k = u (1 + sum_{1<=j<=k} 1/g_j), u = 8 eps n, where g_j <= 1 is the growth
+of layer j before it is scaled: each product adds rounding of u relative to
+the layer it came from. A coefficient that vanishes by structure (c b = 0,
+a nilpotent word) is rounding noise in a changed basis, and the allowance
+keeps that noise from counting as a difference.
+
+The certificate is the lex-first word of the first failing length, chosen
+letter by letter from the left, in O(k) products: after a prefix with row
+r and j letters to go, the next letter is A unless the A branch is
+negligible, ||r A X_j|| <= residual_tol ||r N X_j|| plus its allowance.
 """
 
 import math
 
 import numpy as np
 
-from .core import FourTuple, validate
-from .errors import (DimensionTooLarge, NotCanonical, NotCanonicalTriple,
-                     NotSimilar, Overflow, ZeroS)
+from .core import FourTuple, SimilarityWitness, validate
+from .errors import NotCanonical, NotCanonicalTriple, NotSimilar, ZeroS
 from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
-from .core import SimilarityWitness
 
-WORD_CAP = 12
+# rounding allowance per matrix product and state
+_ROUND = 8 * np.finfo(float).eps
 
 
 def _check_word(w: str) -> str:
@@ -41,14 +68,47 @@ def series_coefficient(t: FourTuple, word: str) -> float:
     return float(t.c @ v)
 
 
-def _prefix_vectors(A, N, v, max_len):
-    """vecs[k][i] = (product over word_at(k, i)) @ v, built by prefix
-    extension: one matrix product per letter per length."""
-    vecs = [v.reshape(1, -1)]
-    for _ in range(max_len):
-        prev = vecs[-1]
-        vecs.append(np.vstack([prev @ A.T, prev @ N.T]))
-    return vecs
+def _unit(X):
+    """X scaled to unit 2-norm, and that norm; a zero X is returned as it
+    is. Dividing by the largest |entry| first keeps the norm finite."""
+    m = np.abs(X).max()
+    s = m * _norm(X / m) if m else 0.0
+    return (X / s if s else X), s
+
+
+def _norm(x):
+    """2-norm of x, for arrays whose entries the scaling here keeps at most
+    1, so the sum of squares cannot overflow."""
+    return math.sqrt(np.vdot(x, x))
+
+
+def _layers(A, N, v, count):
+    """Word layers of (A, N, v) for lengths 0 .. count, each as its rows
+    Z_k = X_k' (module docstring). Returns (layers, err, A, N) with err[k]
+    the rounding allowance of layer k and A, N as pre-scaled."""
+    n = A.shape[0]
+    step, _ = _unit(np.hstack([A.T, N.T]))      # z -> [z A', z N']
+    u = _ROUND * n
+    layers, err = [_unit(v.reshape(1, n))[0]], [u]
+    for k in range(1, count + 1):
+        Z = (layers[-1] @ step).reshape(-1, n)
+        if Z.shape[0] > 4 * n and k < count:    # the last layer grows no more
+            Z = np.linalg.qr(Z, mode="r")
+        g = _norm(Z)
+        layers.append(Z / g if g else Z)
+        err.append(err[-1] + (u / g if g else 0.0))
+    return layers, err, step[:, :n].T, step[:, n:].T
+
+
+def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
+    """The block-diagonal system whose output is y1 - y2 under any input:
+    (A1 (+) A2, N1 (+) N2, [b1; b2], [c1, -c2]), of the kind both share."""
+    n1, n = s1.n, s1.n + s2.n
+    A, N = np.zeros((2, n, n))
+    A[:n1, :n1], A[n1:, n1:] = s1.A, s2.A
+    N[:n1, :n1], N[n1:, n1:] = s1.N, s2.N
+    return FourTuple(A, N, np.concatenate([s1.b, s2.b]),
+                     np.concatenate([s1.c, -s2.c]), s1.kind)
 
 
 def reach_obs(t: FourTuple):
@@ -69,62 +129,62 @@ def krylov(A, v, count=None):
     return np.column_stack(cols)
 
 
-def extended_reach(t: FourTuple, cap: int = WORD_CAP):
-    """All products A_w b over words w of length <= n-1 as columns, ordered
-    shortest-first then lexicographically; 2^n - 1 columns."""
+def extended_reach(t: FourTuple):
+    """The span of the products A_w b over words of length <= n-1, as the
+    word layers X_0, ..., X_{n-1} of (A, N, b) side by side, one column
+    block per length. Block k has the span and, up to one factor, the
+    singular values of the products of length k, in at most 4n columns
+    (8n for the last)."""
     validate(t)
-    n = t.n
-    if n > cap:
-        raise DimensionTooLarge(f"n={n} exceeds the word-product cap {cap}")
-    vecs = _prefix_vectors(t.A, t.N, t.b, n - 1)
-    return np.column_stack([blk.T for blk in vecs])
+    return np.vstack(_layers(t.A, t.N, t.b, t.n - 1)[0]).T
 
 
-def extended_obs(t: FourTuple, cap: int = WORD_CAP):
-    """Dual span: rows c A_w over words of length <= n-1, ordered by length
-    and then lexicographically in the reversed word (the row recursion
-    appends letters on the right)."""
+def extended_obs(t: FourTuple):
+    """The span of the rows c A_w over words of length <= n-1: the word
+    layers of (A', N', c) as row blocks, one block per length."""
     validate(t)
+    return np.vstack(_layers(t.A.T, t.N.T, t.c, t.n - 1)[0])
+
+
+def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     n = t.n
-    if n > cap:
-        raise DimensionTooLarge(f"n={n} exceeds the word-product cap {cap}")
-    vecs = _prefix_vectors(t.A.T, t.N.T, t.c, n - 1)
-    return np.vstack(vecs)
+    return (rank_of(extended_reach(t), tol) == n
+            and rank_of(extended_obs(t), tol) == n)
 
 
-def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL,
-                 cap: int = WORD_CAP) -> bool:
-    n = t.n
-    return (rank_of(extended_reach(t, cap), tol) == n
-            and rank_of(extended_obs(t, cap), tol) == n)
-
-
-def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL,
-                  max_len=None, cap: int = WORD_CAP):
-    """Compare every series coefficient up to word length n1 + n2 (or the
-    explicit max_len override). Returns (equivalent, first differing word or
-    None). The coefficients of each word length are judged against
-    residual_tol * scale, with scale the largest coefficient magnitude of
-    that length in either tuple, floored at 1, so a large coefficient of one
-    length cannot mask a difference at another. Raises Overflow when the
-    coefficients of a length are reached that are not representable."""
-    validate(t1)
-    validate(t2)
-    L = t1.n + t2.n if max_len is None else int(max_len)
-    if L > cap:
-        raise DimensionTooLarge(f"word length bound {L} exceeds cap {cap}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        co1 = [blk @ t1.c for blk in _prefix_vectors(t1.A, t1.N, t1.b, L)]
-        co2 = [blk @ t2.c for blk in _prefix_vectors(t2.A, t2.N, t2.b, L)]
-    for k in range(L + 1):
-        m1 = float(np.max(np.abs(co1[k])))
-        m2 = float(np.max(np.abs(co2[k])))
-        if not math.isfinite(m1 + m2):
-            raise Overflow(f"series coefficients of length {k} overflow")
-        over = np.abs(co1[k] - co2[k]) > tol.residual_tol * max(1.0, m1, m2)
-        if np.any(over):
-            return False, word_at(k, int(np.argmax(over)))
+def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
+    """Compare the series coefficients of every word length up to n1 + n2,
+    one length at a time on the word layers of the stacked pair (module
+    docstring). Returns (equivalent, lex-first word of the first differing
+    length or None)."""
+    n1 = t1.n
+    d = _difference(t1, t2)
+    layers, err, A, N = _layers(d.A, d.N, d.b, d.n)
+    r, _ = _unit(d.c)
+    for k, Z in enumerate(layers):
+        size = max(_norm(Z[:, :n1] @ r[:n1]), _norm(Z[:, n1:] @ r[n1:]))
+        if _norm(Z @ r) > tol.residual_tol * size + err[k]:
+            return False, _lex_first(r, layers[:k], err, A, N, tol)
     return True, None
+
+
+def _lex_first(r, layers, err, A, N, tol):
+    """The word of length len(layers), chosen letter by letter from the
+    left, whose branch of r A_w X_0 carries the difference: A unless the A
+    branch is within residual_tol of the N branch plus its rounding. The
+    row r has a rounding allowance of its own, grown as a layer's is."""
+    u = _ROUND * r.size
+    word, e_r = "", 0.0
+    for k in range(len(layers) - 1, -1, -1):
+        qa, qn = r @ A, r @ N
+        na, nn = _norm(qa), _norm(qn)
+        ea = e_r + (u / na if na else 0.0)
+        if not nn or (_norm(layers[k] @ qa) > tol.residual_tol
+                      * _norm(layers[k] @ qn) + (ea + err[k]) * na):
+            word, r, e_r = word + "A", qa / na, ea
+        else:
+            word, r, e_r = word + "N", qn / nn, e_r + u / nn
+    return word
 
 
 def conjugate(t: FourTuple, T) -> FourTuple:
@@ -135,18 +195,20 @@ def conjugate(t: FourTuple, T) -> FourTuple:
 
 
 def similarity_between(t1: FourTuple, t2: FourTuple,
-                       tol: Tolerances = DEFAULT_TOL,
-                       cap: int = WORD_CAP) -> SimilarityWitness:
+                       tol: Tolerances = DEFAULT_TOL) -> SimilarityWitness:
     """The unique T with A1 = T A2 T^-1, N1 = T N2 T^-1, b1 = T b2,
-    c2 = c1 T, computed as extended_reach(t1) @ pinv(extended_reach(t2)).
-    Both tuples must be canonical. Raises NotSimilar with the residual
-    report when the relations fail."""
+    c2 = c1 T. The word layers of the stacked pair (A1 (+) A2, N1 (+) N2,
+    [b1; b2]) up to length n-1 satisfy top = T bottom, so
+    T = top @ pinv(bottom). Both tuples must be canonical. Raises
+    NotSimilar with the residual report when the relations fail."""
     for name, t in (("first", t1), ("second", t2)):
-        if not is_canonical(t, tol, cap):
+        if not is_canonical(t, tol):
             raise NotCanonical(f"{name} tuple is not canonical")
     if t1.n != t2.n:
         raise NotSimilar(f"dimensions differ: {t1.n} vs {t2.n}")
-    T = extended_reach(t1, cap) @ pinv_rank(extended_reach(t2, cap), tol)[0]
+    d = _difference(t1, t2)
+    X = np.vstack(_layers(d.A, d.N, d.b, t1.n - 1)[0]).T
+    T = X[:t1.n] @ pinv_rank(X[t1.n:], tol)[0]
     try:
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:
@@ -186,11 +248,11 @@ def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):
 
 
 def in_B(N, S, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether N S = S N' up to residual_tol relative to ||S|| ||N|| (floor 1)."""
+    """Whether N S = S N' up to residual_tol relative to ||S|| ||N||."""
     N = np.asarray(N, dtype=float)
     S = np.asarray(S, dtype=float)
     nS = np.linalg.norm(S)
     if nS == 0.0:
         raise ZeroS("S must be nonzero")
-    scale = max(1.0, nS * np.linalg.norm(N))
+    scale = nS * np.linalg.norm(N)
     return float(np.linalg.norm(N @ S - S @ N.T)) <= tol.residual_tol * scale

@@ -88,13 +88,28 @@ def simulate_rk4(t, u, grid, steps_per_unit=2000):
     return np.array(outputs)
 
 
-def brute_coefficient(t, word):
-    """c A_w b by literal left-to-right matrix products; 'A' selects the
-    drift matrix, 'N' the input matrix, rightmost letter acts on b first."""
+def word_product(t, word):
+    """A_w b by literal matrix products, the rightmost letter acting on b
+    first."""
     v = t.b
     for letter in reversed(word):
         v = (t.A if letter == "A" else t.N) @ v
-    return float(t.c @ v)
+    return v
+
+
+def word_row(t, word):
+    """c A_w by literal matrix products, the leftmost letter acting on c
+    first."""
+    r = t.c
+    for letter in word:
+        r = r @ (t.A if letter == "A" else t.N)
+    return r
+
+
+def brute_coefficient(t, word):
+    """c A_w b by literal left-to-right matrix products; 'A' selects the
+    drift matrix, 'N' the input matrix, rightmost letter acts on b first."""
+    return float(t.c @ word_product(t, word))
 
 
 def all_words(max_len):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bilinid import FourTuple, to_json
+from bilinid import FourTuple, conjugate, gaussian_tuple, to_json
 from bilinid.cli import main
 
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
@@ -99,6 +99,22 @@ class TestChecks:
         doc = json.loads(out)
         assert doc["equivalent"] is False
         assert doc["word"] == "AN"
+
+    def test_large_pair_needs_no_word_bound(self, capsys, tmp_path):
+        # n1 + n2 = 16, past the old cap of 12; --max-len is gone
+        rng = np.random.default_rng(3)
+        t = gaussian_tuple(8, rng)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(to_json(t))
+        T = np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+        b.write_text(to_json(conjugate(t, T)))
+        code, out, _ = _run(capsys, "check-equiv", "--a", str(a),
+                            "--b", str(b))
+        assert code == 0
+        assert json.loads(out) == {"equivalent": True, "word": None}
+        code, _, _ = _run(capsys, "check-equiv", "--a", str(a), "--b", str(b),
+                          "--max-len", "3")
+        assert code == 1
 
     def test_canonical_true(self, capsys, shift_file):
         code, out, _ = _run(capsys, "check-canonical", "--system", shift_file)

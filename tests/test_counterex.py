@@ -8,7 +8,8 @@ from bilinid import (TYPE_I, TYPE_II, FourTuple, PiecewiseConstantInput,
                      rescale, respond_pulse, sample_in_B_alpha, sample_in_C,
                      sample_in_G0, sample_in_M, sampled_pair, simulate,
                      single_pulse_pair, twin_via_T)
-from bilinid.counterex import BETA_TEST_SET, _difference, gaussian_tuple
+from bilinid.counterex import BETA_TEST_SET, gaussian_tuple
+from bilinid.realization import _difference
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
                             NotInBalpha, NotInC, NotInG0, NoValidL)
 
@@ -49,6 +50,17 @@ class TestClassify:
         cm = classify(t)
         assert not cm.in_M and not cm.in_G0
         assert cm.diagnostics["reach_rank"] == 0
+
+    def test_g0_survives_a_large_output_scale(self):
+        # T scales with 1/c, so ||N T - T N'|| must be judged relative to
+        # ||T|| ||N|| alone
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            t, _ = sample_in_G0(3, rng)
+            cm = classify(FourTuple(t.A, t.N, t.b, 1e9 * t.c))
+            assert cm.in_G0
+            assert cm.diagnostics["twin_obstruction"] == pytest.approx(
+                classify(t).diagnostics["twin_obstruction"], rel=1e-6)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10 ** 6))

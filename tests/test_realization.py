@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (DEFAULT_TOL, FourTuple, conjugate, extended_obs,
-                     extended_reach, in_B, io_equivalent, is_canonical,
-                     krylov, reach_obs, self_dual_T, series_coefficient,
-                     similarity_between, word_at)
-from bilinid.errors import (DimensionTooLarge, NotCanonical,
-                            NotCanonicalTriple, NotSimilar, Overflow, ZeroS)
+from bilinid import (DEFAULT_TOL, FourTuple, Tolerances, conjugate,
+                     extended_obs, extended_reach, in_B, io_equivalent,
+                     is_canonical, krylov, reach_obs, sample_in_G0,
+                     self_dual_T, series_coefficient, similarity_between,
+                     twin_via_T, word_at)
+from bilinid.errors import (NotCanonical, NotCanonicalTriple, NotSimilar,
+                            ZeroS)
 
-from oracles import all_words, brute_coefficient
+from oracles import all_words, brute_coefficient, word_product, word_row
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([0.0, 1.0])
@@ -29,6 +30,28 @@ def _random_tuple(seed, n=None, scale=1.0):
                      scale * rng.standard_normal((n, n)),
                      scale * rng.standard_normal(n),
                      scale * rng.standard_normal(n))
+
+
+def _conditioned(rng, n, cond_max=100.0):
+    """A random change of basis with condition number at most cond_max."""
+    while True:
+        T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        if np.linalg.cond(T) <= cond_max:
+            return T
+
+
+def _same_span(M, W):
+    """Whether the column spans of M and W coincide."""
+    rank = np.linalg.matrix_rank
+    return rank(M) == rank(W) == rank(np.hstack([M, W]))
+
+
+def _invariant_plane(seed):
+    """A 3-state tuple whose words from b stay in the plane x3 = 0."""
+    rng = np.random.default_rng(seed)
+    A, N = rng.standard_normal((2, 3, 3))
+    A[2, :2] = N[2, :2] = 0.0
+    return FourTuple(A, N, [1.0, 0.5, 0.0], rng.standard_normal(3))
 
 
 class TestWords:
@@ -54,6 +77,11 @@ class TestWords:
                 brute_coefficient(t, word), rel=1e-12, abs=1e-12)
 
 
+SPAN_CASES = [_shift_pair(E11), _invariant_plane(4), _random_tuple(5, n=3),
+              _random_tuple(6, n=4, scale=1e3)]
+SPAN_IDS = ["shift", "plane", "random", "large"]
+
+
 class TestReachability:
     def test_linear_spaces_of_shift_pair(self):
         R, O = reach_obs(_shift_pair(E11))
@@ -64,19 +92,27 @@ class TestReachability:
         K = krylov(A2, B2)
         assert K.T.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
-    def test_extended_reach_column_order(self):
-        # columns are A_w b over words of length <= n-1 in length-lex order
-        R = extended_reach(_shift_pair(E11))
-        assert R.T.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+    @pytest.mark.parametrize("t", SPAN_CASES, ids=SPAN_IDS)
+    def test_extended_reach_spans_the_words(self, t):
+        words = all_words(t.n - 1)
+        W = np.column_stack([word_product(t, w) for w in words])
+        assert _same_span(extended_reach(t), W)
 
-    def test_extended_obs_row_order(self):
-        O = extended_obs(_shift_pair(E11))
-        assert O.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    @pytest.mark.parametrize("t", SPAN_CASES, ids=SPAN_IDS)
+    def test_extended_obs_spans_the_words(self, t):
+        words = all_words(t.n - 1)
+        W = np.column_stack([word_row(t, w) for w in words])
+        assert _same_span(extended_obs(t).T, W)
 
-    def test_cap_guards_the_enumeration(self):
-        t = _random_tuple(0, n=3)
-        with pytest.raises(DimensionTooLarge):
-            extended_reach(t, cap=2)
+    def test_thirty_states_have_no_cap(self):
+        n = 30
+        t = _random_tuple(7, n=n, scale=1.0 / np.sqrt(n))
+        R, O = extended_reach(t), extended_obs(t)
+        # one block per length, each at most 4n wide
+        assert R.shape[0] == O.shape[1] == n
+        assert R.shape[1] <= 4 * n * n and O.shape[0] <= 4 * n * n
+        assert is_canonical(t)
+        assert not is_canonical(_invariant_plane(4))
 
     def test_is_canonical(self):
         assert is_canonical(_shift_pair(E11))
@@ -124,12 +160,54 @@ class TestIoEquivalence:
         eq, word = io_equivalent(t1, t2)
         assert eq and word is None
 
-    def test_word_budget_guard(self):
-        t = _random_tuple(0, n=7)
-        with pytest.raises(DimensionTooLarge):
-            io_equivalent(t, t)
-        eq, _ = io_equivalent(t, t, max_len=5)
-        assert eq
+    def test_thirty_state_conjugate_and_perturbation(self):
+        n = 30
+        rng = np.random.default_rng(30)
+        t = _random_tuple(30, n=n, scale=1.0 / np.sqrt(n))
+        T0 = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        assert io_equivalent(t, conjugate(t, T0)) == (True, None)
+        w = similarity_between(t, conjugate(t, T0))
+        assert np.allclose(w.T, T0, atol=1e-8)
+        N = t.N.copy()
+        N[0, 0] += 1e-3
+        other = FourTuple(t.A, N, t.b, t.c)
+        # c b and c A b agree; c N b is the first coefficient to differ
+        assert io_equivalent(t, other) == (False, "N")
+        assert brute_coefficient(t, "A") == pytest.approx(
+            brute_coefficient(other, "A"), rel=1e-14)
+
+    def test_tiny_outputs_are_judged_on_their_own_scale(self):
+        # c b = 1e-9 against 2e-9; a floor of 1 would call these equivalent
+        A = [[0.0, 1.0], [-2.0, -0.5]]
+        N = [[0.3, 0.0], [0.0, -0.4]]
+        for scale in (1e-9, 1.0):
+            t = FourTuple(A, N, [1.0, 0.5], [scale, 0.0])
+            doubled = FourTuple(A, N, [1.0, 0.5], [2.0 * scale, 0.0])
+            assert io_equivalent(t, doubled) == (False, "")
+
+    def test_small_coefficients_are_judged_without_a_floor(self):
+        # short-word coefficients are O(1e-2); c A b differs by 2e-5 relative
+        t = _random_tuple(12, n=3, scale=0.1)
+        t = FourTuple(10.0 * t.A, 10.0 * t.N, t.b, t.c)
+        other = FourTuple((1.0 + 2e-5) * t.A, t.N, t.b, t.c)
+        cb, cab = brute_coefficient(t, ""), brute_coefficient(t, "A")
+        assert 1e-3 < abs(cb) < 1e-1 and 1e-3 < abs(cab) < 1e-1
+        loose = Tolerances(residual_tol=1e-5)
+        assert io_equivalent(t, other, loose) == (False, "A")
+        assert io_equivalent(t, other, Tolerances(residual_tol=1e-4)) \
+            == (True, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_structural_zeros_survive_conjugation(self, seed):
+        # c b = 0 and every word of length >= 3 vanishes exactly; after a
+        # change of basis both are rounding noise, which is no difference
+        rng = np.random.default_rng(seed)
+        nilpotent = FourTuple(np.diag([1.0, 1.0], 1), 0.5 * np.eye(3, k=2),
+                              [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        for t in (_shift_pair(E11), _shift_pair(E22), nilpotent):
+            T = _conditioned(rng, t.n)
+            assert io_equivalent(t, conjugate(t, T)) == (True, None)
+            assert io_equivalent(conjugate(t, T), t) == (True, None)
 
     def test_large_coefficients_do_not_mask_a_short_word(self):
         # A^12 b reaches 1e12, far above the 0.05 change in c b
@@ -147,9 +225,47 @@ class TestIoEquivalence:
         other = FourTuple([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)),
                           [1.0, 0.0], [1.0, 0.0])
         assert io_equivalent(big, other) == (False, "A")
-        # equal up to length 1; length 2 is 1e600
-        with pytest.raises(Overflow):
-            io_equivalent(big, FourTuple(big.A, big.N, big.b, big.c))
+        # identical systems whose long words pass 1e600 are still equal
+        assert io_equivalent(big, FourTuple(big.A, big.N, big.b, big.c)) \
+            == (True, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certificate_skips_branches_that_vanish_by_structure(self, seed):
+        rng = np.random.default_rng(seed)
+        t1 = conjugate(_shift_pair(E11), _conditioned(rng, 2))
+        t2 = conjugate(_shift_pair(E22), _conditioned(rng, 2))
+        assert io_equivalent(t1, t2) == (False, "AN")
+        # c A = 0, so every word that starts with A is rounding noise in
+        # the changed basis; c N b differs by 6e-10 relative
+        A = [[0.0, 0.0], [1.0, 0.0]]
+        N = np.array([[0.3, 0.2], [0.1, -0.4]])
+        t = FourTuple(A, N, [1.0, 1.0], [1.0, 0.0])
+        N[0, 0] *= 1.0 + 1e-9
+        other = conjugate(FourTuple(A, N, t.b, t.c), _conditioned(rng, 2))
+        assert io_equivalent(t, other, Tolerances(residual_tol=1e-11)) \
+            == (False, "N")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans(),
+           st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+    def test_verdict_is_free_of_scale_and_basis(self, seed, twin, ls, lk):
+        rng = np.random.default_rng(seed)
+        t, _ = sample_in_G0(2 + seed % 2, rng)
+        other = twin_via_T(t) if twin else conjugate(t, _conditioned(rng, t.n))
+        verdict = io_equivalent(t, other)
+        assert verdict[0] is not twin
+        s, k = 10.0 ** ls, 10.0 ** lk
+
+        def outputs(x):   # (b, c) -> (s b, k c)
+            return FourTuple(x.A, x.N, s * x.b, k * x.c)
+
+        def faster(x):    # kind I: y_k(t) = y(k t)
+            return FourTuple(k * x.A, k * x.N, k * x.b, x.c)
+
+        assert io_equivalent(outputs(t), outputs(other)) == verdict
+        assert io_equivalent(faster(t), faster(other)) == verdict
+        T = _conditioned(rng, t.n)
+        assert io_equivalent(conjugate(t, T), other) == verdict
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
