@@ -112,19 +112,9 @@ def in_b_alpha(t: FourTuple, alpha: float,
 
 def _twin(A, N, b, c, tol):
     """The twin M = T N' T^{-1} of N, with T the self-dual transform of
-    the linear triple (A, b, c).
-
-    The map N -> M has condition number up to cond(T)^2, so T is made
-    exactly symmetric (twinning twice is then the identity in exact
-    arithmetic) and the product is formed in long double, with T^{-1}
-    refined there by one Newton step: only the rounding of M to double
-    remains. Where long double is double, this is the plain product."""
+    the linear triple (A, b, c)."""
     T = self_dual_T(A, b, c, tol)
-    T = (T + T.T) / 2
-    Te = T.astype(np.longdouble)
-    X = np.linalg.inv(T).astype(np.longdouble)
-    X = X + X @ (np.eye(len(T), dtype=np.longdouble) - Te @ X)
-    return (Te @ N.T.astype(np.longdouble) @ X).astype(float)
+    return T @ N.T @ np.linalg.inv(T)
 
 
 def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:

@@ -19,8 +19,16 @@ Z_k [A', N'] and a reshape give the next. [A, N] is pre-scaled to unit
 length: nothing overflows, and every test below is relative, one length at
 a time. Time scaling (A, N, b) -> s (A, N, b) leaves the layers unchanged.
 
+Canonicality and similarity stack the layers with each layer weighted by
+its growth, so the stack is the products of the pre-scaled system: a layer
+that is only rounding noise (a word that vanishes by structure, in a
+changed basis) stays at its rounding size and adds no direction.
+
 Equivalence runs the layers of the stacked pair (A1 (+) A2, N1 (+) N2,
-[b1; b2]). ||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
+[b1; b2]), each member first balanced by the change of basis that makes
+||b_i|| = ||c_i|| and leaves its i/o map as it is, so that each member
+weighs by its output scale and not by the scale of its states.
+||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
 length k, and length k fails when it exceeds residual_tol times the larger
 coefficient norm of the two tuples, max(||c1 X_k^top||, ||c2 X_k^bot||),
 plus a rounding allowance. The allowance (unit r = [c1, -c2] / ||.||) is
@@ -48,12 +56,6 @@ from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
 _ROUND = 8 * np.finfo(float).eps
 
 
-def _check_word(w: str) -> str:
-    if any(ch not in "AN" for ch in w):
-        raise ValueError(f"word must be over alphabet A/N, got {w!r}")
-    return w
-
-
 def word_at(length: int, index: int) -> str:
     """The index-th word of the given length in lexicographic order (A < N)."""
     return "".join("AN"[(index >> (length - 1 - j)) & 1] for j in range(length))
@@ -61,7 +63,8 @@ def word_at(length: int, index: int) -> str:
 
 def series_coefficient(t: FourTuple, word: str) -> float:
     validate(t)
-    _check_word(word)
+    if any(ch not in "AN" for ch in word):
+        raise ValueError(f"word must be over alphabet A/N, got {word!r}")
     v = t.b
     for letter in reversed(word):
         v = (t.A if letter == "A" else t.N) @ v
@@ -84,12 +87,13 @@ def _norm(x):
 
 def _layers(A, N, v, count):
     """Word layers of (A, N, v) for lengths 0 .. count, each as its rows
-    Z_k = X_k' (module docstring). Returns (layers, err, A, N) with err[k]
-    the rounding allowance of layer k and A, N as pre-scaled."""
+    Z_k = X_k' (module docstring). Returns (layers, err, growth, A, N) with
+    err[k] the rounding allowance of layer k, growth[k] the norm of P_k for
+    the pre-scaled A, N and unit v, and A, N as pre-scaled."""
     n = A.shape[0]
     step, _ = _unit(np.hstack([A.T, N.T]))      # z -> [z A', z N']
     u = _ROUND * n
-    layers, err = [_unit(v.reshape(1, n))[0]], [u]
+    layers, err, growth = [_unit(v.reshape(1, n))[0]], [u], [1.0]
     for k in range(1, count + 1):
         Z = (layers[-1] @ step).reshape(-1, n)
         if Z.shape[0] > 4 * n and k < count:    # the last layer grows no more
@@ -97,7 +101,16 @@ def _layers(A, N, v, count):
         g = _norm(Z)
         layers.append(Z / g if g else Z)
         err.append(err[-1] + (u / g if g else 0.0))
-    return layers, err, step[:, :n].T, step[:, n:].T
+        growth.append(growth[-1] * g)
+    return layers, err, growth, step[:, :n].T, step[:, n:].T
+
+
+def _span(A, N, v, count):
+    """The word layers of (A, N, v) up to length count stacked as rows, each
+    weighted by its growth: the products of the pre-scaled system, so a
+    layer that is only rounding noise stays as small as it is."""
+    layers, _, growth, _, _ = _layers(A, N, v, count)
+    return np.vstack([g * Z for Z, g in zip(layers, growth)])
 
 
 def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
@@ -109,6 +122,16 @@ def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
     N[:n1, :n1], N[n1:, n1:] = s1.N, s2.N
     return FourTuple(A, N, np.concatenate([s1.b, s2.b]),
                      np.concatenate([s1.c, -s2.c]), s1.kind)
+
+
+def _balanced(t: FourTuple):
+    """(b / beta, beta c) with beta = sqrt(||b|| / ||c||): the b and c of t
+    after a change of basis that leaves its i/o map as it is and makes
+    ||b|| = ||c||, so that in a stacked pair each member weighs by its
+    output scale and not by the scale of its states."""
+    (b, nb), (c, nc) = _unit(t.b), _unit(t.c)
+    m = math.sqrt(nb) * math.sqrt(nc)
+    return m * b, m * c
 
 
 def reach_obs(t: FourTuple):
@@ -132,24 +155,25 @@ def krylov(A, v, count=None):
 def extended_reach(t: FourTuple):
     """The span of the products A_w b over words of length <= n-1, as the
     word layers X_0, ..., X_{n-1} of (A, N, b) side by side, one column
-    block per length. Block k has the span and, up to one factor, the
-    singular values of the products of length k, in at most 4n columns
-    (8n for the last)."""
+    block per length. Block k has the span and the singular values of the
+    products of length k of (A, N, b) / ||[A, N]||^k ||b||, in at most 4n
+    columns (8n for the last)."""
     validate(t)
-    return np.vstack(_layers(t.A, t.N, t.b, t.n - 1)[0]).T
+    return _span(t.A, t.N, t.b, t.n - 1).T
 
 
 def extended_obs(t: FourTuple):
     """The span of the rows c A_w over words of length <= n-1: the word
-    layers of (A', N', c) as row blocks, one block per length."""
+    layers of (A', N', c) as row blocks, one block per length, weighted
+    as in extended_reach."""
     validate(t)
-    return np.vstack(_layers(t.A.T, t.N.T, t.c, t.n - 1)[0])
+    return _span(t.A.T, t.N.T, t.c, t.n - 1)
 
 
 def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
     n = t.n
-    return (rank_of(extended_reach(t), tol) == n
-            and rank_of(extended_obs(t), tol) == n)
+    return (rank_of(_span(t.A, t.N, t.b, n - 1), tol) == n
+            and rank_of(_span(t.A.T, t.N.T, t.c, n - 1), tol) == n)
 
 
 def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
@@ -159,8 +183,9 @@ def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
     length or None)."""
     n1 = t1.n
     d = _difference(t1, t2)
-    layers, err, A, N = _layers(d.A, d.N, d.b, d.n)
-    r, _ = _unit(d.c)
+    (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
+    layers, err, _, A, N = _layers(d.A, d.N, np.concatenate([b1, b2]), d.n)
+    r, _ = _unit(np.concatenate([c1, -c2]))
     for k, Z in enumerate(layers):
         size = max(_norm(Z[:, :n1] @ r[:n1]), _norm(Z[:, n1:] @ r[n1:]))
         if _norm(Z @ r) > tol.residual_tol * size + err[k]:
@@ -207,7 +232,7 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     if t1.n != t2.n:
         raise NotSimilar(f"dimensions differ: {t1.n} vs {t2.n}")
     d = _difference(t1, t2)
-    X = np.vstack(_layers(d.A, d.N, d.b, t1.n - 1)[0]).T
+    X = _span(d.A, d.N, d.b, t1.n - 1).T
     T = X[:t1.n] @ pinv_rank(X[t1.n:], tol)[0]
     try:
         Tinv = np.linalg.inv(T)
@@ -234,11 +259,8 @@ def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):
     (A', c', b'): T = R(A,b) [(O(A,c))']^{-1}, satisfying A T = T A',
     b = T c', c T = b'. T is symmetric. Requires R and O invertible."""
     A = np.asarray(A, dtype=float)
-    b = np.ravel(np.asarray(b, dtype=float))
-    c = np.ravel(np.asarray(c, dtype=float))
-    n = b.shape[0]
-    R = krylov(A, b)
-    O = krylov(A.T, c).T
+    R, O = krylov(A, b), krylov(A.T, c).T
+    n = R.shape[0]
     if rank_of(R, tol) < n or rank_of(O, tol) < n:
         raise NotCanonicalTriple(
             f"linear triple has ranks ({rank_of(R, tol)}, {rank_of(O, tol)}), need {n}"

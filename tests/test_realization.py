@@ -119,6 +119,21 @@ class TestReachability:
         dead = FourTuple(A2, E11, np.zeros(2), C2)
         assert not is_canonical(dead)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_words_that_vanish_by_structure_add_no_direction(self, seed):
+        # A b = N b = 0, so the reach is span{b} in every basis, although A b
+        # and N b are rounding noise in a changed one; the second tuple is
+        # the dual (c A = c N = 0), and in the third N b = 1e-8 b is the only
+        # part of its layer that is not noise
+        rng = np.random.default_rng(seed)
+        cases = [FourTuple(A2, E22, [1.0, 0.0], [1.0, 1.0]),
+                 FourTuple(A2.T, E22, [1.0, 1.0], [1.0, 0.0]),
+                 FourTuple(A2, np.diag([1e-8, 1.0]), [1.0, 0.0], [1.0, 1.0])]
+        for t in cases:
+            assert not is_canonical(t)
+            for _ in range(3):
+                assert not is_canonical(conjugate(t, _conditioned(rng, 2)))
+
     def test_canonical_despite_linear_degeneracy(self):
         # b is unreachable through A alone but N fills the gap
         t = FourTuple(np.zeros((2, 2)), A2, B2, C2)
@@ -209,6 +224,22 @@ class TestIoEquivalence:
             assert io_equivalent(t, conjugate(t, T)) == (True, None)
             assert io_equivalent(conjugate(t, T), t) == (True, None)
 
+    def test_one_member_far_from_unit_state_scale(self):
+        # the coefficients of length 2 differ by 1.9e-8 relative, just above
+        # the default residual_tol; a member conjugated by 1e8 I must not
+        # hide that under the rounding allowance of the stacked pair
+        rng = np.random.default_rng(1)
+        t = FourTuple(*rng.standard_normal((2, 3, 3)),
+                      rng.standard_normal(3), rng.standard_normal(3))
+        N = t.N.copy()
+        N[0, 0] *= 1.0 + 1e-7
+        other = FourTuple(t.A, N, t.b, t.c)
+        assert io_equivalent(t, other) == (False, "AN")
+        for s in (1e-8, 1e8):
+            T = s * np.eye(3)
+            assert io_equivalent(t, conjugate(other, T)) == (False, "AN")
+            assert io_equivalent(conjugate(t, T), other) == (False, "AN")
+
     def test_large_coefficients_do_not_mask_a_short_word(self):
         # A^12 b reaches 1e12, far above the 0.05 change in c b
         A = np.diag([10.0, -0.1, -0.2, -0.3, -0.4, -0.5])
@@ -247,8 +278,8 @@ class TestIoEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans(),
-           st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
-    def test_verdict_is_free_of_scale_and_basis(self, seed, twin, ls, lk):
+           st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-8.0, 8.0))
+    def test_verdict_is_free_of_scale_and_basis(self, seed, twin, ls, lk, lm):
         rng = np.random.default_rng(seed)
         t, _ = sample_in_G0(2 + seed % 2, rng)
         other = twin_via_T(t) if twin else conjugate(t, _conditioned(rng, t.n))
@@ -266,6 +297,9 @@ class TestIoEquivalence:
         assert io_equivalent(faster(t), faster(other)) == verdict
         T = _conditioned(rng, t.n)
         assert io_equivalent(conjugate(t, T), other) == verdict
+        # one member alone in a basis 10^lm times its own
+        assert io_equivalent(t, conjugate(other, 10.0 ** lm * np.eye(t.n))) \
+            == verdict
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
