@@ -3,8 +3,9 @@
 Given a seed system in class C, single_pulse_pair produces two systems
 that are NOT input/output equivalent but produce the same output under
 the single rectangular pulse of width tau and height alpha, at every
-time. A second pulse separates them; the returned pair carries both the
-word certificate and a concrete two-pulse distinguishing input.
+time. A pulse of another width separates them; the returned pair carries
+both the word certificate and that single pulse as its distinguishing
+input.
 """
 
 import numpy as np
@@ -29,10 +30,10 @@ ya = simulate(a, u, grid).outputs
 yb = simulate(b, u, grid).outputs
 print(f"fresh-grid single-pulse agreement: {np.max(np.abs(ya - yb)):.2e}")
 
-# the stored two-pulse input tells them apart once the second pulse acts
+# the stored pulse of another width tells them apart
 w = pair.distinguishing_input
-wide = np.linspace(0.01, w.horizon - 0.5, 300)
+wide = np.linspace(0.01, w.horizon - 1.0, 300)
 ya = simulate(a, w, wide).outputs
 yb = simulate(b, w, wide).outputs
-print(f"two-pulse separation:              {np.max(np.abs(ya - yb)):.2e}")
-print(f"  (second pulse starts at t = {w.breakpoints[2]:.3f})")
+print(f"pulse of width tau* = {w.breakpoints[1]:.3f}, same height")
+print(f"single-pulse separation:           {np.max(np.abs(ya - yb)):.2e}")

@@ -42,4 +42,11 @@ for beta in (-1.0, 0.3, 1.7):
     gap = np.max(np.abs(simulate(a0, u, grid).outputs
                         - simulate(b0, u, grid).outputs))
     print(f"  constant u = {beta:+.1f}: agreement {gap:.2e}")
-print("yet both pairs fail io-equivalence, so richer inputs separate them")
+print("yet both pairs fail io-equivalence, so richer inputs separate them:")
+for p in (pair, pair0):
+    u = p.distinguishing_input
+    wide = np.linspace(0.0, u.horizon - 1.0, 160)
+    gap = np.max(np.abs(simulate(p.sigma, u, wide).outputs
+                        - simulate(p.sigma_hat, u, wide).outputs))
+    print(f"  {p.input_class.kind}: a pulse of width {u.breakpoints[1]:.3f}, "
+          f"then 0, separates by {gap:.2e}")

@@ -88,13 +88,23 @@ def criterion_1() -> CriterionResult:
                            time.perf_counter() - start, 5.0)
 
 
+def _separation(pair) -> float:
+    """Largest output gap of the pair under its distinguishing input, by
+    simulating each member on 160 points up to the input's horizon - 1."""
+    u = pair.distinguishing_input
+    grid = np.linspace(0.0, u.horizon - 1.0, 160)
+    return float(np.max(np.abs(simulate(pair.sigma, u, grid).outputs
+                               - simulate(pair.sigma_hat, u, grid).outputs)))
+
+
 def criterion_2() -> CriterionResult:
-    """Single-pulse pairs agree under the pulse, differ under a two-pulse."""
+    """Single-pulse pairs agree under the pulse of width tau and differ
+    under the single pulse of another width tau* that they carry."""
     start = time.perf_counter()
     rng = seeded_rng(ACCEPTANCE_SEED, "single-pulse")
     combos = ((1.0, 1.0), (2.0, 0.5), (0.3, -1.0))
     worst_agree = 0.0
-    min_disc = np.inf
+    weakest = (np.inf, None)    # separation, width tau*
     failures = []
     for i in range(25):
         n = 2 + (i % 2)
@@ -117,17 +127,15 @@ def criterion_2() -> CriterionResult:
             if u is None:
                 failures.append(f"{label}: no distinguishing input found")
                 continue
-            grid = np.linspace(0.0, u.horizon - 1.0, 160)
-            d = simulate(pair.sigma, u, grid).outputs \
-                - simulate(pair.sigma_hat, u, grid).outputs
-            disc = float(np.max(np.abs(d)))
-            min_disc = min(min_disc, disc)
+            disc = _separation(pair)
+            weakest = min(weakest, (disc, float(u.breakpoints[1])))
             if disc <= 1e-6:
                 failures.append(f"{label}: distinguisher gap only {disc:.2e}")
     details = (f"25 class-C seeds x 3 (tau, alpha): worst pulse-response "
                f"agreement {worst_agree:.2e} on 500-point grids over "
-               f"[0, 5 tau]; all pairs inequivalent; weakest two-pulse "
-               f"separation {min_disc:.2e}")
+               f"[0, 5 tau]; all pairs inequivalent; weakest single-pulse "
+               f"(width tau*) separation {weakest[0]:.2e} at tau* = "
+               f"{weakest[1]:.3g}")
     if failures:
         details += "; FAILURES: " + "; ".join(failures[:4])
     return CriterionResult(2, "single-pulse counterexample pairs",
@@ -136,10 +144,12 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """Pulse-family pairs agree for every trailing constant level."""
+    """Pulse-family pairs agree for every trailing constant level, and the
+    single pulse of another width that each pair carries separates it."""
     start = time.perf_counter()
     rng = seeded_rng(ACCEPTANCE_SEED, "pulse-family")
     worst = 0.0
+    min_disc = np.inf
     failures = []
     for i in range(25):
         n = 2 + (i % 2)
@@ -165,9 +175,17 @@ def criterion_3() -> CriterionResult:
             eq, word = io_equivalent(pair.sigma, pair.sigma_hat)
             if eq or word is None:
                 failures.append(f"{label}: pair not separated by a word")
+            if pair.distinguishing_input is None:
+                failures.append(f"{label}: no distinguishing input found")
+                continue
+            disc = _separation(pair)
+            min_disc = min(min_disc, disc)
+            if disc <= 1e-6:
+                failures.append(f"{label}: distinguisher gap only {disc:.2e}")
     details = (f"25 G0 seeds x tau in {{0, 1}}: worst agreement {worst:.2e} "
                f"across 7 trailing levels on [0, tau+5]; all pairs "
-               f"word-inequivalent")
+               f"word-inequivalent; weakest single-pulse separation "
+               f"{min_disc:.2e}")
     if failures:
         details += "; FAILURES: " + "; ".join(failures[:4])
     return CriterionResult(3, "pulse-family and constant-input pairs",

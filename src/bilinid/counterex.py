@@ -21,18 +21,19 @@ word separates the two tuples.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
-                   PiecewiseConstantInput, constant_input, validate)
+                   PiecewiseConstantInput, constant_input, pulse_input,
+                   validate)
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
 from .realization import _difference, in_B, io_equivalent, krylov, self_dual_T
-from .simulate import respond_pulse, sample_discrete, simulate
+from .simulate import respond_pulse, sample_discrete
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,8 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     The seed (Q, N, b0, c) must lie in class C. The construction follows
     the unit-pulse normalization: sigma = psi(seed); the partner replaces N
     by the twin M taken at (Q, b1, c) with b1 = rho(Q) b; both are then
-    rescaled to (tau, alpha)."""
+    rescaled to (tau, alpha). The distinguishing input is a single pulse of
+    another width (distinguishing_search)."""
     if tau <= 0 or alpha == 0:
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     if not classify(seed, tol=tol).in_C:
@@ -182,55 +184,71 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     residual = float(np.max(np.abs(gap.outputs)))
 
     _, word = io_equivalent(sigma, sigma_hat, tol)
-    pair = CounterexamplePair(
-        sigma=sigma,
-        sigma_hat=sigma_hat,
-        input_class=InputClass("single-pulse", tau, alpha),
-        agreement_residual=residual,
-        distinguishing_word=word,
-    )
+    pair = CounterexamplePair(sigma, sigma_hat,
+                              InputClass("single-pulse", tau, alpha),
+                              residual, word)
+    return _with_input(pair, tau, alpha, tol)
+
+
+def _with_input(pair, tau, alpha, tol):
+    """The pair with the pulse of distinguishing_search as its input, or as
+    it is when no pulse separates it."""
     try:
         u = distinguishing_search(pair, tau, alpha, tol)
     except NoDistinguisherFound:
-        u = None
-    if u is not None:
-        pair = CounterexamplePair(
-            sigma=sigma, sigma_hat=sigma_hat,
-            input_class=pair.input_class,
-            agreement_residual=residual,
-            distinguishing_word=word,
-            distinguishing_input=u,
-        )
-    return pair
+        return pair
+    return replace(pair, distinguishing_input=u)
 
 
 def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
                           tol: Tolerances = DEFAULT_TOL,
                           s_points: int = 32,
                           grid_points: int = 160) -> PiecewiseConstantInput:
-    """Scan the two-pulse family u_s (amplitude alpha on [0,tau), off during
-    a gap of length s, amplitude alpha again after) for the s giving the
-    largest output discrepancy; returns the maximizing input. The gap s
-    ranges over s_points values in (0, 4*tau]."""
-    diff = _difference(pair.sigma, pair.sigma_hat)
-    best = None
-    best_disc = 0.0
-    for s in np.linspace(4.0 * tau / s_points, 4.0 * tau, s_points):
-        t_end = 4.0 * tau + s
-        u = PiecewiseConstantInput(
-            np.array([0.0, tau, tau + s]),
-            np.array([alpha, 0.0, alpha]),
-            t_end + 1.0,
-        )
-        grid = np.linspace(0.0, t_end, grid_points)
-        disc = float(np.max(np.abs(simulate(diff, u, grid).outputs)))
-        if disc > best_disc:
-            best, best_disc = u, disc
-    if best is None or best_disc <= tol.agree_tol:
-        raise NoDistinguisherFound(
-            f"largest discrepancy {best_disc:.3e} over {s_points} gap values"
-        )
-    return best
+    """The single pulse u = alpha on [0, w), 0 after, whose output gap
+    between the pair members on [0, 5s] is largest, with s = tau (1 when
+    tau = 0); returns pulse_input(w, alpha, 0, 5s + 1). The width w ranges
+    over s_points values in [s/8, 4s], leaving out tau, whose pulse lies in
+    the class.
+
+    Widths and output times lie on the grid j delta, delta = 5s /
+    (grid_points - 1), so one table of the difference system's outputs,
+    with no simulate call (_pulse_table), covers every width."""
+    widths, y = _pulse_table(_difference(pair.sigma, pair.sigma_hat), tau,
+                             alpha, s_points, grid_points)
+    disc = np.max(np.abs(y), axis=1)
+    best = int(np.argmax(disc))
+    if disc[best] <= tol.agree_tol:
+        raise NoDistinguisherFound(f"largest discrepancy {disc[best]:.3e} "
+                                   f"over {widths.size} pulse widths")
+    return pulse_input(widths[best], alpha, 0.0, 5.0 * (tau or 1.0) + 1.0)
+
+
+def _pulse_table(d, tau, alpha, s_points, grid_points):
+    """The widths w of distinguishing_search and the outputs y[i, j] of d
+    under the pulse alpha on [0, w[i]), 0 after, at the times j delta. The
+    one-step maps E (level alpha) and F (level 0) come from one stacked
+    expm; with Z_j = E^j z0 and R_m = c F^m, the pulse of width k delta
+    has y(j delta) = R_{j-k} Z_k for j >= k and c Z_j = R_0 Z_j before,
+    so one product R Z' and one gather give the table."""
+    s = tau or 1.0
+    delta = 5.0 * s / (grid_points - 1)
+    n = d.n
+    if d.kind == TYPE_I:    # homogeneous form [x; 1], as in simulate
+        G = np.zeros((2, n + 1, n + 1))
+        G[:, :n, :n] = d.A + alpha * d.N, d.A
+        G[0, :n, n] = alpha * d.b
+        z, c = np.eye(n + 1)[n], np.append(d.c, 0.0)
+    else:
+        G, z, c = np.stack([d.A + alpha * d.N, d.A]), d.b, d.c
+    E, F = expm(delta * G)
+    Z, R = np.empty((2, grid_points, z.size))
+    Z[0], R[0] = z, c
+    for j in range(1, grid_points):
+        Z[j], R[j] = E @ Z[j - 1], R[j - 1] @ F
+    k = np.rint(np.linspace(s / 8, 4 * s, s_points) / delta)
+    k = np.unique(k[~np.isclose(k * delta, tau)]).astype(int)[:, None]
+    j = np.arange(grid_points)
+    return k[:, 0] * delta, (R @ Z.T)[np.maximum(j - k, 0), np.minimum(j, k)]
 
 
 # -- pulse family / constants -------------------------------------------------
@@ -257,7 +275,9 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
                       grid_points: int = 240) -> CounterexamplePair:
     """Two systems whose outputs coincide under every input that holds
     alpha on [0, tau) and an arbitrary constant afterward, although they
-    are not i/o equivalent. tau = 0 gives the constant-input class.
+    are not i/o equivalent. tau = 0 gives the constant-input class. The
+    distinguishing input is a single pulse of amplitude alpha and a width
+    other than tau, then 0 (distinguishing_search).
 
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
@@ -283,13 +303,10 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
 
     _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
-    return CounterexamplePair(
-        sigma=sigma,
-        sigma_hat=sigma_hat,
-        input_class=InputClass(label, None if tau == 0 else tau, alpha),
-        agreement_residual=residual,
-        distinguishing_word=word,
-    )
+    pair = CounterexamplePair(sigma, sigma_hat,
+                              InputClass(label, tau or None, alpha),
+                              residual, word)
+    return _with_input(pair, tau, alpha, tol)
 
 
 # -- fixed-rate sampling -------------------------------------------------------

@@ -224,8 +224,9 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     """The unique T with A1 = T A2 T^-1, N1 = T N2 T^-1, b1 = T b2,
     c2 = c1 T. The word layers of the stacked pair (A1 (+) A2, N1 (+) N2,
     [b1; b2]) up to length n-1 satisfy top = T bottom, so
-    T = top @ pinv(bottom). Both tuples must be canonical. Raises
-    NotSimilar with the residual report when the relations fail."""
+    T = top @ pinv(bottom). Both tuples must be canonical. Each residual
+    is relative to the first tuple's own A, N, b or c. Raises NotSimilar
+    with the residual report when the relations fail."""
     for name, t in (("first", t1), ("second", t2)):
         if not is_canonical(t, tol):
             raise NotCanonical(f"{name} tuple is not canonical")
@@ -238,8 +239,9 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
         Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:
         raise NotSimilar("recovered T is singular") from None
-    def rel(x, y):
-        return float(np.linalg.norm(x - y) / max(1.0, np.linalg.norm(x)))
+    def rel(x, y):    # on the scale of x itself, 0/0 read as 0
+        gap, size = np.linalg.norm(x - y), np.linalg.norm(x)
+        return float(gap / size) if size else (math.inf if gap else 0.0)
     residuals = {
         "A": rel(t1.A, T @ t2.A @ Tinv),
         "N": rel(t1.N, T @ t2.N @ Tinv),

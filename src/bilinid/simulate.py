@@ -34,15 +34,16 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
         )
     bp = u.breakpoints
     inner = bp[(bp > t0) & (bp < grid[-1])]
-    events = np.unique(np.concatenate([grid, inner]))
-    wanted = np.isin(events, grid)
+    events = np.union1d(grid, inner)
+    wanted = np.isin(events, grid, assume_unique=True)
 
-    # step k runs from starts[k] to events[k] at the level in force at its start
+    # step k runs from starts[k] to events[k] at the level in force at its
+    # start; one complex key per step, level + i length, finds the distinct
+    # steps in the row order of (level, length)
     starts = np.concatenate([[t0], events[:-1]])
     level = u.levels[np.maximum(np.searchsorted(bp, starts, side="right") - 1, 0)]
-    steps, which = np.unique(np.column_stack([level, events - starts]), axis=0,
-                             return_inverse=True)
-    v, h = steps[:, :1, None], steps[:, 1:, None]
+    steps, which = np.unique(level + 1j * (events - starts), return_inverse=True)
+    v, h = steps.real[:, None, None], steps.imag[:, None, None]
     n = t.n
     if t.kind == TYPE_I:
         G = np.zeros((len(steps), n + 1, n + 1))

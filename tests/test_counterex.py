@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (TYPE_I, TYPE_II, FourTuple, PiecewiseConstantInput,
-                     SampledSystem, classify, in_b_alpha, io_equivalent,
-                     phi_inverse, phi_map, psi, psi_inverse, pulse_family_pair,
-                     rescale, respond_pulse, sample_in_B_alpha, sample_in_C,
+from bilinid import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple,
+                     InputClass, PiecewiseConstantInput, SampledSystem,
+                     classify, in_b_alpha, io_equivalent, phi_inverse, phi_map,
+                     psi, psi_inverse, pulse_family_pair, rescale,
+                     respond_pulse, sample_in_B_alpha, sample_in_C,
                      sample_in_G0, sample_in_M, sampled_pair, simulate,
                      single_pulse_pair, twin_via_T)
-from bilinid.counterex import BETA_TEST_SET, gaussian_tuple
+from bilinid.counterex import (BETA_TEST_SET, _pulse_table,
+                               distinguishing_search, gaussian_tuple)
 from bilinid.realization import _difference
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
-                            NotInBalpha, NotInC, NotInG0, NoValidL)
+                            NoDistinguisherFound, NotInBalpha, NotInC,
+                            NotInG0, NoValidL)
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([0.0, 1.0])
@@ -173,6 +176,7 @@ class TestSinglePulsePair:
         assert not eq
         u = pair.distinguishing_input
         assert u is not None
+        assert u.breakpoints.size == 2 and u.breakpoints[1] != 2.0
         grid = np.linspace(0.0, u.horizon - 1.0, 120)
         gap = np.max(np.abs(simulate(pair.sigma, u, grid).outputs
                             - simulate(pair.sigma_hat, u, grid).outputs))
@@ -233,6 +237,65 @@ class TestPulseFamilyPair:
         with pytest.raises(NotInG0):
             pulse_family_pair(FourTuple(A2, np.zeros((2, 2)), B2, C2,
                                         TYPE_II), 1.0, 1.0)
+
+
+def _family_pair(seed_int, kind, tau, n=2):
+    seed, _ = sample_in_G0(n, np.random.default_rng(seed_int), kind=kind,
+                           scale=0.4)
+    return pulse_family_pair(seed, tau, 1.0, kind=kind)
+
+
+def _separation(pair):
+    u = pair.distinguishing_input
+    grid = np.linspace(0.0, u.horizon - 1.0, 160)
+    return np.max(np.abs(simulate(pair.sigma, u, grid).outputs
+                         - simulate(pair.sigma_hat, u, grid).outputs))
+
+
+class TestDistinguishingSearch:
+    @pytest.mark.parametrize("case", [
+        ("single", 42, 2.0, 0.5), ("single", 7, 0.3, -1.0),
+        ("family", 12, 1.0, 1.0), ("constants", 1, 0.0, 1.0),
+        ("constants-I", 2, 0.0, 1.0)])
+    def test_width_table_matches_a_march_scan(self, case):
+        kind, seed_int, tau, alpha = case
+        if kind == "single":
+            pair = single_pulse_pair(_c_seed(seed_int, 3), tau, alpha)
+        else:
+            pair = _family_pair(seed_int, TYPE_I if kind == "constants-I"
+                                else TYPE_II, tau, n=3)
+        d = _difference(pair.sigma, pair.sigma_hat)
+        widths, y = _pulse_table(d, tau, alpha, 32, 160)
+        assert widths.size == 32 and not np.any(np.isclose(widths, tau))
+        grid = np.linspace(0.0, 5.0 * (tau or 1.0), 160)
+        march = np.array([respond_pulse(d, w, alpha, 0.0, grid).outputs
+                          for w in widths])
+        members = [respond_pulse(m, w, alpha, 0.0, grid).outputs
+                   for m in (pair.sigma, pair.sigma_hat) for w in widths]
+        scale = np.max(np.abs(members))
+        assert np.max(np.abs(y - march)) <= 1e-12 * scale
+        best = int(np.argmax(np.max(np.abs(march), axis=1)))
+        assert int(np.argmax(np.max(np.abs(y), axis=1))) == best
+        u = distinguishing_search(pair, tau, alpha)
+        assert u.breakpoints.tolist() == [0.0, widths[best]]
+        assert u.levels.tolist() == [alpha, 0.0]
+
+    @pytest.mark.parametrize("kind, tau", [(TYPE_II, 1.0), (TYPE_II, 0.0),
+                                           (TYPE_I, 0.0)])
+    def test_family_pairs_carry_a_pulse_of_another_width(self, kind, tau):
+        for seed_int in range(6):
+            pair = _family_pair(seed_int, kind, tau, n=2 + seed_int % 2)
+            u = pair.distinguishing_input
+            assert u is not None and u.levels.tolist() == [1.0, 0.0]
+            assert u.breakpoints.size == 2 and u.breakpoints[1] != tau
+            assert _separation(pair) > 1e-6
+
+    def test_no_pulse_separates_an_equal_pair(self):
+        seed, _ = sample_in_G0(2, np.random.default_rng(3), kind=TYPE_II)
+        cls = InputClass("constants", None, 1.0)
+        pair = CounterexamplePair(seed, seed, cls, 0.0, "A")
+        with pytest.raises(NoDistinguisherFound):
+            distinguishing_search(pair, 0.0, 1.0)
 
 
 class TestSampledPair:

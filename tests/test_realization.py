@@ -358,6 +358,20 @@ class TestSimilarity:
         with pytest.raises(NotSimilar):
             similarity_between(_shift_pair(E11), _shift_pair(E22))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_scale_hides_no_difference(self, seed):
+        # at time and output scale 1e-3, raising N by 0.1% leaves residuals
+        # near 1e-6 in absolute terms, but near 1e-3 of the tuple's own N
+        loose = Tolerances(residual_tol=1e-5)
+        t = _random_tuple(seed, n=3, scale=1e-3)
+        T0 = np.random.default_rng(seed + 50).standard_normal((3, 3))
+        raised = conjugate(FourTuple(t.A, 1.001 * t.N, t.b, t.c), T0)
+        assert io_equivalent(t, raised, loose) == (False, "N")
+        with pytest.raises(NotSimilar):
+            similarity_between(t, raised, loose)
+        w = similarity_between(t, conjugate(t, T0), loose)
+        assert np.allclose(w.T, T0) and w.max_residual < 1e-8
+
     def test_noncanonical_input_is_rejected(self):
         dead = FourTuple(A2, E11, np.zeros(2), C2)
         with pytest.raises(NotCanonical):

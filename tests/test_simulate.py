@@ -91,6 +91,20 @@ class TestSimulate:
         ref = simulate_rk4(t, u, grid)
         assert np.allclose(ours, ref, atol=1e-9, rtol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_levels_repeated_at_several_step_lengths_match_rk4(self, kind):
+        # steps (0.5, 0.25) and (0.25, 0.5) both occur, as (level, length),
+        # and so do 0.0 and -0.0 at lengths 0.25 and 0.5: each distinct
+        # step keeps its own exponential, and -0.0 acts as 0.0
+        t = _random_system(33, kind)
+        u = PiecewiseConstantInput([0.0, 1.0, 1.75, 2.0, 2.5, 3.0],
+                                   [0.5, 0.25, -0.0, 0.0, 0.5, 0.25], 4.0)
+        grid = np.array([0.25, 0.5, 1.0, 1.25, 1.75, 2.0, 2.5, 2.75, 3.0,
+                         3.5])
+        ours = simulate(t, u, grid).outputs
+        ref = simulate_rk4(t, u, grid)
+        assert np.allclose(ours, ref, atol=1e-9, rtol=1e-9)
+
     def test_overflowing_step_raises(self):
         t = FourTuple([[800.0]], [[0.0]], [1.0], [1.0])
         with pytest.raises(Overflow):
