@@ -18,7 +18,7 @@ import numpy as np
 
 from .acceptance import ALL_CRITERIA, run_all
 from .core import (_dumps, _loads, from_json, input_from_dict, pair_to_json,
-                   pulse_input, seeded_rng, to_json, trajectory_to_json)
+                   seeded_rng, to_json, trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         sample_in_C, sample_in_G0, sampled_pair,
                         single_pulse_pair)
@@ -26,7 +26,7 @@ from .errors import BilinError
 from .identify import IdentifyConfig, identify, oracle_from_tuple
 from .matfun import DEFAULT_TOL, rank_of
 from .realization import extended_obs, extended_reach, io_equivalent
-from .simulate import simulate
+from .simulate import respond_pulse, simulate
 
 
 class _UsageError(Exception):
@@ -168,10 +168,9 @@ def _cmd_simulate(args):
     grid = _parse_grid(args.grid)
     if args.input:
         u = input_from_dict(_loads(Path(args.input).read_text()))
+        traj = simulate(t, u, grid, with_states=args.states)
     else:
-        tau, alpha, beta = args.pulse
-        u = pulse_input(tau, alpha, beta, max(float(grid[-1]), tau) + 1.0)
-    traj = simulate(t, u, grid, with_states=args.states)
+        traj = respond_pulse(t, *args.pulse, grid, args.states)
     _emit(trajectory_to_json(traj), args.out)
     return 0
 

@@ -21,7 +21,7 @@ word separates the two tuples.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
 from .realization import _difference, in_B, io_equivalent, krylov, self_dual_T
-from .simulate import respond_pulse, sample_discrete
+from .simulate import _power_table, _pulse_outputs
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def _in_b_alpha(t, alpha, tol, diag):
     diag["alpha_pair_reach_rank"] = rg
     diag["alpha_pair_obs_rank"] = og
     diag["max_imag_part"] = im
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    return rg == 2 and og == 2 and im > tol.residual_tol * scale
+    return rg == 2 and og == 2 and im > tol.residual_tol * float(
+        np.max(np.abs(lam)))
 
 
 def in_b_alpha(t: FourTuple, alpha: float,
@@ -156,16 +156,18 @@ def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
 
 
 def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
-                      tol: Tolerances = DEFAULT_TOL,
-                      grid_points: int = 500) -> CounterexamplePair:
+                      tol: Tolerances = DEFAULT_TOL) -> CounterexamplePair:
     """Two kind-I systems whose outputs coincide under the single pulse
     u = alpha on [0, tau), 0 after, although they are not i/o equivalent.
 
     The seed (Q, N, b0, c) must lie in class C. The construction follows
     the unit-pulse normalization: sigma = psi(seed); the partner replaces N
     by the twin M taken at (Q, b1, c) with b1 = rho(Q) b; both are then
-    rescaled to (tau, alpha). The distinguishing input is a single pulse of
-    another width (distinguishing_search)."""
+    rescaled to (tau, alpha). One power table of the difference system at
+    delta = tau/100 gives both certificates: the agreement residual, the
+    largest output gap under the class pulse at the 501 points j delta of
+    [0, 5 tau], and the distinguishing input, the single pulse of another
+    width of distinguishing_search (None when no width separates)."""
     if tau <= 0 or alpha == 0:
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     if not classify(seed, tol=tol).in_C:
@@ -179,76 +181,60 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     sigma = rescale(sigma, tau, alpha)
     sigma_hat = rescale(sigma_hat, tau, alpha)
 
-    grid = np.linspace(0.0, 5.0 * tau, grid_points)
-    gap = respond_pulse(_difference(sigma, sigma_hat), tau, alpha, 0.0, grid)
-    residual = float(np.max(np.abs(gap.outputs)))
-
+    residual, u, gap = _pulse_certificates(_difference(sigma, sigma_hat),
+                                           tau, alpha, [], 5.0 * tau)
     _, word = io_equivalent(sigma, sigma_hat, tol)
-    pair = CounterexamplePair(sigma, sigma_hat,
+    return CounterexamplePair(sigma, sigma_hat,
                               InputClass("single-pulse", tau, alpha),
-                              residual, word)
-    return _with_input(pair, tau, alpha, tol)
+                              residual, word,
+                              u if gap > tol.agree_tol else None)
 
 
-def _with_input(pair, tau, alpha, tol):
-    """The pair with the pulse of distinguishing_search as its input, or as
-    it is when no pulse separates it."""
-    try:
-        u = distinguishing_search(pair, tau, alpha, tol)
-    except NoDistinguisherFound:
-        return pair
-    return replace(pair, distinguishing_input=u)
+def _peak(Z, R, k):
+    """Largest |output| of a power table's pulses of widths k delta."""
+    return float(np.max(np.abs(_pulse_outputs(Z, R, k))))
+
+
+def _pulse_certificates(d, tau, alpha, betas, window):
+    """From one power table of the difference system d at delta = s/100,
+    with trailing levels 0 and betas: the agreement residual, the largest
+    |output| under the class pulses (width tau, each level) on [0, window];
+    the pulse of distinguishing_search, read on [0, 5s]; and that pulse's
+    largest gap."""
+    s = tau or 1.0
+    delta = s / 100
+    rows = 1 + round(window / delta)
+    Z, R = _power_table(d, alpha, np.append(0.0, betas), delta,
+                        max(rows, 501))
+    k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)    # [s/8, 4s]
+    if tau:
+        k = k[k != 100]
+    gap = np.max(np.abs(_pulse_outputs(Z[:501], R[0, :501], k)), axis=1)
+    best = int(np.argmax(gap))
+    return (_peak(Z[:rows], R[:, :rows], [round(tau / delta)]),
+            pulse_input(k[best] * delta, alpha, 0.0, 5.0 * s + 1.0),
+            float(gap[best]))
 
 
 def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
-                          tol: Tolerances = DEFAULT_TOL,
-                          s_points: int = 32,
-                          grid_points: int = 160) -> PiecewiseConstantInput:
+                          tol: Tolerances = DEFAULT_TOL
+                          ) -> PiecewiseConstantInput:
     """The single pulse u = alpha on [0, w), 0 after, whose output gap
     between the pair members on [0, 5s] is largest, with s = tau (1 when
     tau = 0); returns pulse_input(w, alpha, 0, 5s + 1). The width w ranges
-    over s_points values in [s/8, 4s], leaving out tau, whose pulse lies in
-    the class.
+    over the multiples of delta = s/100 nearest 32 points of [s/8, 4s],
+    leaving out tau, whose pulse lies in the class.
 
-    Widths and output times lie on the grid j delta, delta = 5s /
-    (grid_points - 1), so one table of the difference system's outputs,
-    with no simulate call (_pulse_table), covers every width."""
-    widths, y = _pulse_table(_difference(pair.sigma, pair.sigma_hat), tau,
-                             alpha, s_points, grid_points)
-    disc = np.max(np.abs(y), axis=1)
-    best = int(np.argmax(disc))
-    if disc[best] <= tol.agree_tol:
-        raise NoDistinguisherFound(f"largest discrepancy {disc[best]:.3e} "
-                                   f"over {widths.size} pulse widths")
-    return pulse_input(widths[best], alpha, 0.0, 5.0 * (tau or 1.0) + 1.0)
-
-
-def _pulse_table(d, tau, alpha, s_points, grid_points):
-    """The widths w of distinguishing_search and the outputs y[i, j] of d
-    under the pulse alpha on [0, w[i]), 0 after, at the times j delta. The
-    one-step maps E (level alpha) and F (level 0) come from one stacked
-    expm; with Z_j = E^j z0 and R_m = c F^m, the pulse of width k delta
-    has y(j delta) = R_{j-k} Z_k for j >= k and c Z_j = R_0 Z_j before,
-    so one product R Z' and one gather give the table."""
-    s = tau or 1.0
-    delta = 5.0 * s / (grid_points - 1)
-    n = d.n
-    if d.kind == TYPE_I:    # homogeneous form [x; 1], as in simulate
-        G = np.zeros((2, n + 1, n + 1))
-        G[:, :n, :n] = d.A + alpha * d.N, d.A
-        G[0, :n, n] = alpha * d.b
-        z, c = np.eye(n + 1)[n], np.append(d.c, 0.0)
-    else:
-        G, z, c = np.stack([d.A + alpha * d.N, d.A]), d.b, d.c
-    E, F = expm(delta * G)
-    Z, R = np.empty((2, grid_points, z.size))
-    Z[0], R[0] = z, c
-    for j in range(1, grid_points):
-        Z[j], R[j] = E @ Z[j - 1], R[j - 1] @ F
-    k = np.rint(np.linspace(s / 8, 4 * s, s_points) / delta)
-    k = np.unique(k[~np.isclose(k * delta, tau)]).astype(int)[:, None]
-    j = np.arange(grid_points)
-    return k[:, 0] * delta, (R @ Z.T)[np.maximum(j - k, 0), np.minimum(j, k)]
+    Widths and output times lie on the grid j delta, so one power table of
+    the difference system (_pulse_certificates), with no march, covers
+    every width. Raises NoDistinguisherFound when no width separates the
+    pair by more than agree_tol."""
+    _, u, gap = _pulse_certificates(_difference(pair.sigma, pair.sigma_hat),
+                                    tau, alpha, [], 5.0 * (tau or 1.0))
+    if gap <= tol.agree_tol:
+        raise NoDistinguisherFound(f"largest discrepancy {gap:.3e} over "
+                                   f"the pulse widths")
+    return u
 
 
 # -- pulse family / constants -------------------------------------------------
@@ -271,13 +257,18 @@ def phi_inverse(t: FourTuple, tau: float, alpha: float):
 
 def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
                       tol: Tolerances = DEFAULT_TOL,
-                      kind: str = TYPE_II,
-                      grid_points: int = 240) -> CounterexamplePair:
+                      kind: str = TYPE_II) -> CounterexamplePair:
     """Two systems whose outputs coincide under every input that holds
     alpha on [0, tau) and an arbitrary constant afterward, although they
-    are not i/o equivalent. tau = 0 gives the constant-input class. The
-    distinguishing input is a single pulse of amplitude alpha and a width
-    other than tau, then 0 (distinguishing_search).
+    are not i/o equivalent. tau = 0 gives the constant-input class.
+
+    One power table of the difference system at delta = s/100 (s = tau, or
+    1 when tau = 0), with level 0 and the trailing levels
+    BETA_TEST_SET * max(1, |alpha|), gives both certificates: the agreement
+    residual, the largest output gap over those levels at the points
+    j delta of [0, tau + 5], and the distinguishing input, a single pulse
+    of amplitude alpha and a width other than tau, then 0, from
+    distinguishing_search (None when no width separates).
 
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
@@ -294,19 +285,15 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     sigma = phi_map(P, N, b0, c, tau, alpha, kind)
     sigma_hat = FourTuple(P - alpha * M, M, sigma.b, c, kind)
 
-    diff = _difference(sigma, sigma_hat)
-    grid = np.linspace(0.0, tau + 5.0, grid_points)
-    residual = 0.0
-    for beta in BETA_TEST_SET * max(1.0, abs(alpha)):
-        gap = respond_pulse(diff, tau, alpha, beta, grid).outputs
-        residual = max(residual, float(np.max(np.abs(gap))))
-
+    residual, u, gap = _pulse_certificates(
+        _difference(sigma, sigma_hat), tau, alpha,
+        BETA_TEST_SET * max(1.0, abs(alpha)), tau + 5.0)
     _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
-    pair = CounterexamplePair(sigma, sigma_hat,
+    return CounterexamplePair(sigma, sigma_hat,
                               InputClass(label, tau or None, alpha),
-                              residual, word)
-    return _with_input(pair, tau, alpha, tol)
+                              residual, word,
+                              u if gap > tol.agree_tol else None)
 
 
 # -- fixed-rate sampling -------------------------------------------------------
@@ -334,6 +321,12 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     cannot tell apart on pulses of width k*tau and amplitude alpha (the
     sampled transition and drive alias exactly), while the continuous-time
     responses to u = alpha differ.
+
+    Both certificates come from power tables of the difference system: the
+    sampled agreement at delta = tau, the largest of the 11 samples of the
+    pulses of widths 0 .. 6 tau (pulse trains alpha^k 0^(10-k) through the
+    sampled recursion); and the continuous separation at delta = 0.01,
+    under u = alpha at the 301 points of [0, 3].
 
     Writes A + alpha N in real Jordan form, shifts the rotation rate by
     2*pi*l/tau via M = N + (l/alpha) L0, L0 = [[0, -2pi/tau],[2pi/tau, 0]],
@@ -376,15 +369,8 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     sigma = t.with_kind(TYPE_I)
 
     diff = _difference(sigma, sigma_hat)
-    residual = 0.0
-    for k in range(7):
-        u_seq = [alpha] * k + [0.0] * (10 - k)
-        gaps = [abs(y) for _, y in sample_discrete(diff, tau, u_seq)]
-        residual = max(residual, max(gaps))
-
-    grid = np.linspace(0.0, 3.0, 301)
-    gap = respond_pulse(diff, 0.0, alpha, alpha, grid)
-    disc = float(np.max(np.abs(gap.outputs)))
+    residual = _peak(*_power_table(diff, alpha, [0.0], tau, 11), range(7))
+    disc = _peak(*_power_table(diff, alpha, [alpha], 0.01, 301), [0])
     if disc <= tol.agree_tol:
         raise NoDistinguisherFound(
             f"constant input failed to separate the pair (max gap {disc:.3e})"

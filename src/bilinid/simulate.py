@@ -12,14 +12,38 @@ every input breakpoint between them. Each step is a (level, length) pair;
 the distinct pairs are exponentiated in one call on a stack of generators,
 so the march itself only multiplies. Outputs are reported only at the
 requested points.
+
+Pulses of one amplitude on a uniform grid need no march at all: every such
+output is a power of two one-step maps, read from one table (_power_table,
+_pulse_outputs). A state that leaves the representable range raises
+Overflow instead of giving outputs.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .core import (TYPE_I, FourTuple, PiecewiseConstantInput, Trajectory,
                    pulse_input, validate)
-from .errors import GridOutOfRange
+from .errors import GridOutOfRange, Overflow
 from .matfun import expm, phi1
+
+
+def _generators(t: FourTuple, levels):
+    """Stacked one-step generators, one per level v: A + vN for kind II and
+    the homogeneous block [[A + vN, v b], [0, 0]] on [x; 1] for kind I."""
+    v = np.asarray(levels, dtype=float)[:, None, None]
+    if t.kind != TYPE_I:
+        return t.A + v * t.N
+    G = np.zeros((v.size, t.n + 1, t.n + 1))
+    G[:, :-1, :-1] = t.A + v * t.N
+    G[:, :-1, -1] = v[:, 0] * t.b
+    return G
+
+
+def _finite(X):
+    if not np.all(np.isfinite(X)):
+        raise Overflow("state exceeds the representable range")
+    return X
 
 
 def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
@@ -43,15 +67,7 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     starts = np.concatenate([[t0], events[:-1]])
     level = u.levels[np.maximum(np.searchsorted(bp, starts, side="right") - 1, 0)]
     steps, which = np.unique(level + 1j * (events - starts), return_inverse=True)
-    v, h = steps.real[:, None, None], steps.imag[:, None, None]
-    n = t.n
-    if t.kind == TYPE_I:
-        G = np.zeros((len(steps), n + 1, n + 1))
-        G[:, :n, :n] = t.A + v * t.N
-        G[:, :n, n] = v[:, 0] * t.b
-    else:
-        G = t.A + v * t.N
-    Phi = expm(h * G)
+    Phi = expm(steps.imag[:, None, None] * _generators(t, steps.real))
 
     xa = np.array(x0, dtype=float)
     if t.kind == TYPE_I:
@@ -59,7 +75,7 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     X = np.empty((events.size, xa.size))
     for k, j in enumerate(which.tolist()):
         X[k] = xa = Phi[j] @ xa
-    states = X[wanted, :n]
+    states = _finite(X)[wanted, :t.n]
     return Trajectory(grid, states @ t.c, states if with_states else None)
 
 
@@ -77,6 +93,37 @@ def respond_pulse(t: FourTuple, tau: float, alpha: float, beta: float, grid,
     grid = np.asarray(grid, dtype=float)
     horizon = max(float(grid[-1]), tau) + 1.0
     return simulate(t, pulse_input(tau, alpha, beta, horizon), grid, with_states)
+
+
+def _power_table(t: FourTuple, alpha: float, betas, delta: float,
+                 points: int):
+    """Z_j = E^j z0 and R[l, j] = c F_l^j for j < points, where E and F_l
+    step the state by delta at the level alpha and at each trailing level
+    betas[l]; z0 and c are the start state and output row of simulate (in
+    the homogeneous form [x; 1] for kind I). One stacked expm gives the
+    maps, and each step is one matvec with blockdiag(E', F_1 .. F_L)."""
+    maps = expm(delta * _generators(t, np.append(alpha, betas)))
+    m = maps.shape[-1]
+    z = np.eye(m)[-1] if t.kind == TYPE_I else t.b
+    W = np.empty((points, len(maps) * m))
+    c = np.append(t.c, [0.0] * (m - t.n))
+    W[0] = np.concatenate([z, np.tile(c, len(maps) - 1)])
+    step = block_diag(maps[0].T, *maps[1:])
+    for j in range(1, points):
+        W[j] = W[j - 1] @ step
+    return _finite(W)[:, :m], W[:, m:].reshape(points, -1, m).swapaxes(0, 1)
+
+
+def _pulse_outputs(Z, R, k):
+    """Outputs y[..., i, j] at the times j delta of the table's pulse of
+    width k[i] delta followed by the level of R (R[l] for all trailing
+    levels, or one row of it): c Z_j while the pulse lasts, R_{j-k} Z_k
+    after."""
+    k = np.asarray(k)[:, None]
+    j = np.arange(len(Z))
+    tail = (R @ Z[k[:, 0]].T)[..., np.maximum(j - k, 0),
+                                np.arange(k.size)[:, None]]
+    return np.where(j < k, R[..., :1, :] @ Z.T, tail)
 
 
 class SampledSystem:

@@ -6,15 +6,16 @@ from bilinid import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple,
                      InputClass, PiecewiseConstantInput, SampledSystem,
                      classify, in_b_alpha, io_equivalent, phi_inverse, phi_map,
                      psi, psi_inverse, pulse_family_pair, rescale,
-                     respond_pulse, sample_in_B_alpha, sample_in_C,
-                     sample_in_G0, sample_in_M, sampled_pair, simulate,
-                     single_pulse_pair, twin_via_T)
-from bilinid.counterex import (BETA_TEST_SET, _pulse_table,
-                               distinguishing_search, gaussian_tuple)
+                     respond_pulse, sample_discrete, sample_in_B_alpha,
+                     sample_in_C, sample_in_G0, sample_in_M, sampled_pair,
+                     simulate, single_pulse_pair, twin_via_T)
+from bilinid.counterex import (BETA_TEST_SET, distinguishing_search,
+                               gaussian_tuple)
 from bilinid.realization import _difference
+from bilinid.simulate import _power_table, _pulse_outputs
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
                             NoDistinguisherFound, NotInBalpha, NotInC,
-                            NotInG0, NoValidL)
+                            NotInG0, NoValidL, Overflow)
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([0.0, 1.0])
@@ -47,6 +48,16 @@ class TestClassify:
         t = FourTuple(np.diag([1.0, 2.0]), np.zeros((2, 2)),
                       [1.0, 1.0], [1.0, 1.0])
         assert not in_b_alpha(t, 1.0)
+
+    @pytest.mark.parametrize("k", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_b_alpha_is_judged_on_the_spectrum_scale(self, k):
+        # slowing time by k scales A, N and b, and every eigenvalue with
+        # them: the rotation stays in B_alpha, the real spectrum out
+        rotor = FourTuple(k * ROTOR.A, k * ROTOR.N, k * ROTOR.b, ROTOR.c)
+        assert in_b_alpha(rotor, 1.0)
+        real = FourTuple(k * np.diag([1.0, 2.0]), np.zeros((2, 2)),
+                         [k, k], [1.0, 1.0])
+        assert not in_b_alpha(real, 1.0)
 
     def test_uncontrollable_pair_is_not_identifiable(self):
         t = FourTuple(A2, E11, np.zeros(2), C2)
@@ -256,29 +267,76 @@ class TestDistinguishingSearch:
     @pytest.mark.parametrize("case", [
         ("single", 42, 2.0, 0.5), ("single", 7, 0.3, -1.0),
         ("family", 12, 1.0, 1.0), ("constants", 1, 0.0, 1.0),
-        ("constants-I", 2, 0.0, 1.0)])
+        ("constants-I", 2, 0.0, 1.0), ("family", 12, 2.0, 1.0)])
     def test_width_table_matches_a_march_scan(self, case):
+        # the power table at delta = s/100 against respond_pulse at the
+        # same times: every witness width (trailing level 0) on [0, 5s],
+        # then every trailing level of the agreement window, which at
+        # tau = 2 ends before 5s
         kind, seed_int, tau, alpha = case
         if kind == "single":
             pair = single_pulse_pair(_c_seed(seed_int, 3), tau, alpha)
+            betas, window = np.array([0.0]), 5.0 * tau
         else:
             pair = _family_pair(seed_int, TYPE_I if kind == "constants-I"
                                 else TYPE_II, tau, n=3)
+            betas, window = BETA_TEST_SET * max(1.0, abs(alpha)), tau + 5.0
         d = _difference(pair.sigma, pair.sigma_hat)
-        widths, y = _pulse_table(d, tau, alpha, 32, 160)
-        assert widths.size == 32 and not np.any(np.isclose(widths, tau))
-        grid = np.linspace(0.0, 5.0 * (tau or 1.0), 160)
-        march = np.array([respond_pulse(d, w, alpha, 0.0, grid).outputs
-                          for w in widths])
-        members = [respond_pulse(m, w, alpha, 0.0, grid).outputs
-                   for m in (pair.sigma, pair.sigma_hat) for w in widths]
-        scale = np.max(np.abs(members))
+        s = tau or 1.0
+        delta = s / 100
+
+        def scan(inputs, grid):
+            return [np.array([respond_pulse(m, w, alpha, beta, grid).outputs
+                              for w, beta in inputs])
+                    for m in (d, pair.sigma, pair.sigma_hat)]
+
+        # widths: 32 points of [s/8, 4s] in units of delta, rounded to
+        # whole steps, tau left out
+        k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)
+        k = k[~np.isclose(k * delta, tau)]
+        assert k.size == (31 if tau else 32)
+        grid = delta * np.arange(501)
+        march, y1, y2 = scan([(w, 0.0) for w in k * delta], grid)
+        Z, R = _power_table(d, alpha, [0.0], delta, 501)
+        y = _pulse_outputs(Z, R[0], k)
+        scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - march)) <= 1e-12 * scale
         best = int(np.argmax(np.max(np.abs(march), axis=1)))
         assert int(np.argmax(np.max(np.abs(y), axis=1))) == best
         u = distinguishing_search(pair, tau, alpha)
-        assert u.breakpoints.tolist() == [0.0, widths[best]]
+        assert u.breakpoints.tolist() == [0.0, k[best] * delta]
         assert u.levels.tolist() == [alpha, 0.0]
+        assert pair.distinguishing_input.breakpoints.tolist() == \
+            u.breakpoints.tolist()
+
+        points = 1 + round(window / delta)
+        march, y1, y2 = scan([(tau, beta) for beta in betas],
+                             delta * np.arange(points))
+        Z, R = _power_table(d, alpha, betas, delta, points)
+        y = _pulse_outputs(Z, R, [round(tau / delta)])[:, 0]
+        scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
+        assert np.max(np.abs(y - march)) <= 1e-12 * scale
+        assert pair.agreement_residual == pytest.approx(
+            np.max(np.abs(march)), abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("seed_int", [4, 5])
+    def test_train_table_matches_the_sampled_recursion(self, seed_int):
+        # the table at delta = tau reads the pulse trains
+        # alpha^k 0^(10 - k) of sampled_pair's agreement
+        t, _ = sample_in_B_alpha(1.0, np.random.default_rng(seed_int))
+        pair = sampled_pair(t, 1.0, 1.0)
+        d = _difference(pair.sigma, pair.sigma_hat)
+        recursion, y1, y2 = (
+            np.array([[y for _, y in sample_discrete(m, 1.0, [1.0] * k
+                                                     + [0.0] * (10 - k))]
+                      for k in range(7)])
+            for m in (d, pair.sigma, pair.sigma_hat))
+        Z, R = _power_table(d, 1.0, [0.0], 1.0, 11)
+        y = _pulse_outputs(Z, R[0], range(7))
+        scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
+        assert np.max(np.abs(y - recursion)) <= 1e-12 * scale
+        assert pair.agreement_residual == pytest.approx(
+            np.max(np.abs(recursion)), abs=1e-12 * scale)
 
     @pytest.mark.parametrize("kind, tau", [(TYPE_II, 1.0), (TYPE_II, 0.0),
                                            (TYPE_I, 0.0)])
@@ -295,6 +353,15 @@ class TestDistinguishingSearch:
         cls = InputClass("constants", None, 1.0)
         pair = CounterexamplePair(seed, seed, cls, 0.0, "A")
         with pytest.raises(NoDistinguisherFound):
+            distinguishing_search(pair, 0.0, 1.0)
+
+    def test_overflow_raises_instead_of_a_width(self):
+        # every step is e^2, but the table's 500 steps reach e^1000
+        sigma = FourTuple([[200.0]], [[0.0]], [1.0], [1.0], TYPE_II)
+        sigma_hat = FourTuple([[200.0]], [[1.0]], [1.0], [1.0], TYPE_II)
+        pair = CounterexamplePair(sigma, sigma_hat,
+                                  InputClass("constants", None, 1.0), 0.0, "N")
+        with pytest.raises(Overflow):
             distinguishing_search(pair, 0.0, 1.0)
 
 

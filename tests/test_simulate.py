@@ -110,6 +110,14 @@ class TestSimulate:
         with pytest.raises(Overflow):
             simulate(t, constant_input(0.0, 2.0), [1.0])
 
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_overflow_built_over_many_steps_raises(self, kind):
+        # each step multiplies by about e^20, which is finite; fifty of
+        # them exceed the range of a float
+        t = FourTuple([[200.0]], [[0.0]], [1.0], [1.0], kind)
+        with pytest.raises(Overflow):
+            respond_pulse(t, 0.0, 1.0, 1.0, np.linspace(0.0, 5.0, 50))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_semigroup_restart(self, seed):
