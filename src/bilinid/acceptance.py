@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TYPE_I, TYPE_II, FourTuple, PiecewiseConstantInput,
-                   seeded_rng)
+                   pulse_input, seeded_rng)
 from .counterex import (BETA_TEST_SET, classify, gaussian_tuple,
                         pulse_family_pair, sample_in_B_alpha, sample_in_C,
                         sample_in_G0, sample_in_M, sampled_pair,
@@ -88,21 +88,18 @@ def criterion_1() -> CriterionResult:
                            time.perf_counter() - start, 5.0)
 
 
-def _separation(pair) -> float:
-    """Largest output gap of the pair under its distinguishing input, by
-    simulating each member on 160 points up to the input's horizon - 1."""
-    u = pair.distinguishing_input
-    grid = np.linspace(0.0, u.horizon - 1.0, 160)
+def _gap(pair, u, grid) -> float:
+    """Largest output gap of the pair under the input u on the grid, by
+    simulating each member."""
     return float(np.max(np.abs(simulate(pair.sigma, u, grid).outputs
                                - simulate(pair.sigma_hat, u, grid).outputs)))
 
 
-def _pulse_gap(pair, tau, alpha, beta, grid) -> float:
-    """Largest output gap of the pair on the grid, simulating each member
-    under the pulse alpha on [0, tau), beta after."""
-    return float(np.max(np.abs(
-        respond_pulse(pair.sigma, tau, alpha, beta, grid).outputs
-        - respond_pulse(pair.sigma_hat, tau, alpha, beta, grid).outputs)))
+def _separation(pair) -> float:
+    """The pair's gap under its distinguishing input, on 160 points up to
+    the input's horizon - 1."""
+    u = pair.distinguishing_input
+    return _gap(pair, u, np.linspace(0.0, u.horizon - 1.0, 160))
 
 
 def criterion_2() -> CriterionResult:
@@ -126,8 +123,8 @@ def criterion_2() -> CriterionResult:
         for tau, alpha in combos:
             label = f"#{i} (tau={tau}, alpha={alpha})"
             pair = single_pulse_pair(seed, tau, alpha)
-            agree = _pulse_gap(pair, tau, alpha, 0.0,
-                               np.linspace(0.0, 5.0 * tau, 500))
+            agree = _gap(pair, pulse_input(tau, alpha, 0.0, 5.0 * tau + 1.0),
+                         np.linspace(0.0, 5.0 * tau, 500))
             worst_agree = max(worst_agree, agree)
             if agree > 1e-7:
                 failures.append(f"{label}: agreement {agree:.2e}")
@@ -175,8 +172,8 @@ def criterion_3() -> CriterionResult:
             label = f"#{i} (tau={tau})"
             pair = pulse_family_pair(seed, tau, 1.0)
             grid = np.linspace(0.0, tau + 5.0, 301)
-            agree = max(_pulse_gap(pair, tau, 1.0, beta, grid)
-                        for beta in BETA_TEST_SET)
+            agree = max(_gap(pair, pulse_input(tau, 1.0, b, tau + 6.0), grid)
+                        for b in BETA_TEST_SET)
             worst = max(worst, agree)
             if agree > 1e-7:
                 failures.append(f"{label}: agreement {agree:.2e}")
@@ -192,9 +189,8 @@ def criterion_3() -> CriterionResult:
                 failures.append(f"{label}: distinguisher gap only {disc:.2e}")
     details = (f"25 G0 seeds x tau in {{0, 1}}: worst agreement {worst:.2e} "
                f"across 7 trailing levels on 301-point grids over "
-               f"[0, tau+5]; all pairs "
-               f"word-inequivalent; weakest single-pulse separation "
-               f"{min_disc:.2e}")
+               f"[0, tau+5]; all pairs word-inequivalent; weakest "
+               f"single-pulse separation {min_disc:.2e}")
     if failures:
         details += "; FAILURES: " + "; ".join(failures[:4])
     return CriterionResult(3, "pulse-family and constant-input pairs",
@@ -215,7 +211,8 @@ def criterion_4() -> CriterionResult:
         worst_agree = max(worst_agree, pair.agreement_residual)
         if pair.agreement_residual > 1e-9:
             failures.append(f"#{i}: sampled agreement {pair.agreement_residual:.2e}")
-        disc = _pulse_gap(pair, 0.0, 1.0, 1.0, np.linspace(0.0, 3.0, 301))
+        disc = _gap(pair, pair.distinguishing_input,
+                    np.linspace(0.0, 3.0, 301))
         min_disc = min(min_disc, disc)
         if disc <= 1e-4:
             failures.append(f"#{i}: continuous gap only {disc:.2e}")

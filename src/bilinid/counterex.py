@@ -181,8 +181,8 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     sigma = rescale(sigma, tau, alpha)
     sigma_hat = rescale(sigma_hat, tau, alpha)
 
-    residual, u, gap = _pulse_certificates(_difference(sigma, sigma_hat),
-                                           tau, alpha, [], 5.0 * tau)
+    residual, u, gap = _pulse_certificates(
+        _difference(sigma, sigma_hat), tau, alpha, [(0.0, tau / 100)], 401)
     _, word = io_equivalent(sigma, sigma_hat, tol)
     return CounterexamplePair(sigma, sigma_hat,
                               InputClass("single-pulse", tau, alpha),
@@ -190,28 +190,35 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
                               u if gap > tol.agree_tol else None)
 
 
-def _peak(Z, R, k):
-    """Largest |output| of a power table's pulses of widths k delta."""
-    return float(np.max(np.abs(_pulse_outputs(Z, R, k))))
+def _witness_widths(tau):
+    """The pulse widths distinguishing_search scans, in steps of
+    delta = s/100: the multiples nearest 32 points of [s/8, 4s], leaving
+    out tau (100 steps)."""
+    k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)
+    return k[k != 100] if tau else k
 
 
-def _pulse_certificates(d, tau, alpha, betas, window):
-    """From one power table of the difference system d at delta = s/100,
-    with trailing levels 0 and betas: the agreement residual, the largest
-    |output| under the class pulses (width tau, each level) on [0, window];
-    the pulse of distinguishing_search, read on [0, 5s]; and that pulse's
-    largest gap."""
+def _class_outputs(Z, c, R, k, rows):
+    """Outputs of a power table's pulse of width k steps: c Z_j while it
+    lasts, then R[l, m] Z_k for the first rows steps m of each trailing
+    level l."""
+    return np.append(c @ Z[:k].T, R[:, :rows] @ Z[k])
+
+
+def _pulse_certificates(d, tau, alpha, trail=(), rows=0):
+    """From one power table of the difference system d with the pulse step
+    delta = s/100: the agreement residual, the largest |output| under the
+    class pulses (width tau, then each (level, step) of trail for rows
+    steps); the pulse of distinguishing_search, read on [0, 5s] with level
+    0 after it; and that pulse's largest gap."""
     s = tau or 1.0
     delta = s / 100
-    rows = 1 + round(window / delta)
-    Z, R = _power_table(d, alpha, np.append(0.0, betas), delta,
-                        max(rows, 501))
-    k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)    # [s/8, 4s]
-    if tau:
-        k = k[k != 100]
-    gap = np.max(np.abs(_pulse_outputs(Z[:501], R[0, :501], k)), axis=1)
+    Z, R = _power_table(d, alpha, delta, [(0.0, delta), *trail], 501)
+    k = _witness_widths(tau)
+    gap = np.max(np.abs(_pulse_outputs(Z, R[0], k)), axis=1)
     best = int(np.argmax(gap))
-    return (_peak(Z[:rows], R[:, :rows], [round(tau / delta)]),
+    y = _class_outputs(Z, R[0, 0], R[1:], round(tau / delta), rows)
+    return (float(np.max(np.abs(y), initial=0.0)),
             pulse_input(k[best] * delta, alpha, 0.0, 5.0 * s + 1.0),
             float(gap[best]))
 
@@ -230,7 +237,7 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
     every width. Raises NoDistinguisherFound when no width separates the
     pair by more than agree_tol."""
     _, u, gap = _pulse_certificates(_difference(pair.sigma, pair.sigma_hat),
-                                    tau, alpha, [], 5.0 * (tau or 1.0))
+                                    tau, alpha)
     if gap <= tol.agree_tol:
         raise NoDistinguisherFound(f"largest discrepancy {gap:.3e} over "
                                    f"the pulse widths")
@@ -262,13 +269,14 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     alpha on [0, tau) and an arbitrary constant afterward, although they
     are not i/o equivalent. tau = 0 gives the constant-input class.
 
-    One power table of the difference system at delta = s/100 (s = tau, or
-    1 when tau = 0), with level 0 and the trailing levels
-    BETA_TEST_SET * max(1, |alpha|), gives both certificates: the agreement
-    residual, the largest output gap over those levels at the points
-    j delta of [0, tau + 5], and the distinguishing input, a single pulse
-    of amplitude alpha and a width other than tau, then 0, from
-    distinguishing_search (None when no width separates).
+    One power table of the difference system gives both certificates: the
+    agreement residual, the largest output gap over the trailing levels
+    BETA_TEST_SET * max(1, |alpha|), read at the points j delta of [0, tau)
+    with delta = s/100 (s = tau, or 1 when tau = 0) and at the 501 points
+    tau + m/100 of [tau, tau + 5], so the table has 501 rows whatever tau;
+    and the distinguishing input, a single pulse of amplitude alpha and a
+    width other than tau, then 0, from distinguishing_search (None when no
+    width separates).
 
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
@@ -287,7 +295,7 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
 
     residual, u, gap = _pulse_certificates(
         _difference(sigma, sigma_hat), tau, alpha,
-        BETA_TEST_SET * max(1.0, abs(alpha)), tau + 5.0)
+        [(beta, 0.01) for beta in BETA_TEST_SET * max(1.0, abs(alpha))], 501)
     _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
     return CounterexamplePair(sigma, sigma_hat,
@@ -369,8 +377,10 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     sigma = t.with_kind(TYPE_I)
 
     diff = _difference(sigma, sigma_hat)
-    residual = _peak(*_power_table(diff, alpha, [0.0], tau, 11), range(7))
-    disc = _peak(*_power_table(diff, alpha, [alpha], 0.01, 301), [0])
+    Z, R = _power_table(diff, alpha, tau, [(0.0, tau)], 11)
+    residual = float(np.max(np.abs(_pulse_outputs(Z, R[0], range(7)))))
+    Z, _ = _power_table(diff, alpha, 0.01, [], 301)
+    disc = float(np.max(np.abs(Z[:, :diff.n] @ diff.c)))
     if disc <= tol.agree_tol:
         raise NoDistinguisherFound(
             f"constant input failed to separate the pair (max gap {disc:.3e})"

@@ -95,35 +95,37 @@ def respond_pulse(t: FourTuple, tau: float, alpha: float, beta: float, grid,
     return simulate(t, pulse_input(tau, alpha, beta, horizon), grid, with_states)
 
 
-def _power_table(t: FourTuple, alpha: float, betas, delta: float,
-                 points: int):
-    """Z_j = E^j z0 and R[l, j] = c F_l^j for j < points, where E and F_l
-    step the state by delta at the level alpha and at each trailing level
-    betas[l]; z0 and c are the start state and output row of simulate (in
-    the homogeneous form [x; 1] for kind I). One stacked expm gives the
-    maps, and each step is one matvec with blockdiag(E', F_1 .. F_L)."""
-    maps = expm(delta * _generators(t, np.append(alpha, betas)))
+def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
+    """Z_j = E^j z0 and R[l, j] = c F_l^j for j < points, where E steps the
+    state by delta at the level alpha and F_l by h_l at the level beta_l of
+    trail = [(beta_l, h_l), ...]; z0 and c are the start state and output
+    row of simulate (in the homogeneous form [x; 1] for kind I). Repeated
+    (level, step) pairs share one map. One stacked expm gives the maps, and
+    each step is one matvec with blockdiag(E', F_1 .. F_L)."""
+    keys, which = np.unique([beta + 1j * h for beta, h in trail],
+                            return_inverse=True)
+    maps = expm(np.append(delta, keys.imag)[:, None, None]
+                * _generators(t, np.append(alpha, keys.real)))
     m = maps.shape[-1]
     z = np.eye(m)[-1] if t.kind == TYPE_I else t.b
     W = np.empty((points, len(maps) * m))
-    c = np.append(t.c, [0.0] * (m - t.n))
-    W[0] = np.concatenate([z, np.tile(c, len(maps) - 1)])
+    W[0] = np.concatenate([z, np.tile(np.pad(t.c, (0, m - t.n)), keys.size)])
     step = block_diag(maps[0].T, *maps[1:])
     for j in range(1, points):
         W[j] = W[j - 1] @ step
-    return _finite(W)[:, :m], W[:, m:].reshape(points, -1, m).swapaxes(0, 1)
+    R = _finite(W)[:, m:].reshape(points, keys.size, m).swapaxes(0, 1)
+    return W[:, :m], R[which]
 
 
 def _pulse_outputs(Z, R, k):
-    """Outputs y[..., i, j] at the times j delta of the table's pulse of
-    width k[i] delta followed by the level of R (R[l] for all trailing
-    levels, or one row of it): c Z_j while the pulse lasts, R_{j-k} Z_k
-    after."""
+    """Outputs y[i, j] at the times j delta of the table's pulse of width
+    k[i] delta followed by the trailing level whose rows are R (one level
+    of the table, stepped by delta): c Z_j while the pulse lasts,
+    R_{j-k} Z_k after."""
     k = np.asarray(k)[:, None]
     j = np.arange(len(Z))
-    tail = (R @ Z[k[:, 0]].T)[..., np.maximum(j - k, 0),
-                                np.arange(k.size)[:, None]]
-    return np.where(j < k, R[..., :1, :] @ Z.T, tail)
+    tail = (R @ Z[k[:, 0]].T)[np.maximum(j - k, 0), np.arange(k.size)[:, None]]
+    return np.where(j < k, R[0] @ Z.T, tail)
 
 
 class SampledSystem:

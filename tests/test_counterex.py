@@ -9,7 +9,9 @@ from bilinid import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple,
                      respond_pulse, sample_discrete, sample_in_B_alpha,
                      sample_in_C, sample_in_G0, sample_in_M, sampled_pair,
                      simulate, single_pulse_pair, twin_via_T)
-from bilinid.counterex import (BETA_TEST_SET, distinguishing_search,
+from bilinid import counterex
+from bilinid.counterex import (BETA_TEST_SET, _class_outputs,
+                               _witness_widths, distinguishing_search,
                                gaussian_tuple)
 from bilinid.realization import _difference
 from bilinid.simulate import _power_table, _pulse_outputs
@@ -269,35 +271,34 @@ class TestDistinguishingSearch:
         ("family", 12, 1.0, 1.0), ("constants", 1, 0.0, 1.0),
         ("constants-I", 2, 0.0, 1.0), ("family", 12, 2.0, 1.0)])
     def test_width_table_matches_a_march_scan(self, case):
-        # the power table at delta = s/100 against respond_pulse at the
-        # same times: every witness width (trailing level 0) on [0, 5s],
-        # then every trailing level of the agreement window, which at
-        # tau = 2 ends before 5s
+        # the power table against respond_pulse at the same times: every
+        # witness width (trailing level 0) on [0, 5s] at delta = s/100,
+        # then every trailing level of the agreement window (the front at
+        # delta, then the trailing steps), which at tau = 2 ends before 5s
         kind, seed_int, tau, alpha = case
+        s = tau or 1.0
+        delta = s / 100
         if kind == "single":
             pair = single_pulse_pair(_c_seed(seed_int, 3), tau, alpha)
-            betas, window = np.array([0.0]), 5.0 * tau
+            h, rows, betas = delta, 401, [0.0]
         else:
             pair = _family_pair(seed_int, TYPE_I if kind == "constants-I"
                                 else TYPE_II, tau, n=3)
-            betas, window = BETA_TEST_SET * max(1.0, abs(alpha)), tau + 5.0
+            h, rows, betas = 0.01, 501, BETA_TEST_SET * max(1.0, abs(alpha))
         d = _difference(pair.sigma, pair.sigma_hat)
-        s = tau or 1.0
-        delta = s / 100
 
         def scan(inputs, grid):
             return [np.array([respond_pulse(m, w, alpha, beta, grid).outputs
                               for w, beta in inputs])
                     for m in (d, pair.sigma, pair.sigma_hat)]
 
-        # widths: 32 points of [s/8, 4s] in units of delta, rounded to
-        # whole steps, tau left out
-        k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)
-        k = k[~np.isclose(k * delta, tau)]
+        # the widths the search scans: whole steps, tau left out
+        k = _witness_widths(tau)
         assert k.size == (31 if tau else 32)
-        grid = delta * np.arange(501)
-        march, y1, y2 = scan([(w, 0.0) for w in k * delta], grid)
-        Z, R = _power_table(d, alpha, [0.0], delta, 501)
+        assert not np.any(np.isclose(k * delta, tau))
+        march, y1, y2 = scan([(w, 0.0) for w in k * delta],
+                             delta * np.arange(501))
+        Z, R = _power_table(d, alpha, delta, [(0.0, delta)], 501)
         y = _pulse_outputs(Z, R[0], k)
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - march)) <= 1e-12 * scale
@@ -309,15 +310,49 @@ class TestDistinguishingSearch:
         assert pair.distinguishing_input.breakpoints.tolist() == \
             u.breakpoints.tolist()
 
-        points = 1 + round(window / delta)
+        front = round(tau / delta)
         march, y1, y2 = scan([(tau, beta) for beta in betas],
-                             delta * np.arange(points))
-        Z, R = _power_table(d, alpha, betas, delta, points)
-        y = _pulse_outputs(Z, R, [round(tau / delta)])[:, 0]
+                             np.append(delta * np.arange(front),
+                                       tau + h * np.arange(rows)))
+        Z, R = _power_table(d, alpha, delta, [(b, h) for b in betas], 501)
+        y = _class_outputs(Z, R[0, 0], R, front, rows)
+        march = np.append(march[0, :front], march[:, front:])
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - march)) <= 1e-12 * scale
         assert pair.agreement_residual == pytest.approx(
             np.max(np.abs(march)), abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("tau", [1e-3, 2000.0])
+    def test_family_table_size_does_not_follow_tau(self, tau, monkeypatch):
+        # the pair's one table has 501 rows whatever tau: the front at
+        # tau/100, each trailing level at 0.01 over [tau, tau + 5]; on a
+        # member, whose outputs do not cancel, its agreement rows match
+        # respond_pulse at those times for every trailing level
+        calls = []
+
+        def spy(t, *args):
+            calls.append(args)
+            return _power_table(t, *args)
+
+        monkeypatch.setattr(counterex, "_power_table", spy)
+        # P has imaginary eigenvalues, so e^{-tau P} b0 stays O(1)
+        seed = FourTuple([[0.0, -0.5], [0.5, 0.0]],
+                         [[0.3, -0.2], [0.1, 0.4]], [1.0, 0.3], [0.7, -0.4],
+                         TYPE_II)
+        pair = pulse_family_pair(seed, tau, 1.0)
+        (alpha, delta, trail, points), = calls
+        assert points == 501 and len(trail) == 8
+        assert delta == tau / 100
+        assert [h for _, h in trail[1:]] == [0.01] * 7
+        Z, R = _power_table(pair.sigma, alpha, delta, trail, points)
+        y = _class_outputs(Z, R[0, 0], R[1:], 100, 501)
+        grid = np.append(delta * np.arange(100), tau + 0.01 * np.arange(501))
+        march = np.array([respond_pulse(pair.sigma, tau, 1.0, b, grid).outputs
+                          for b in BETA_TEST_SET])
+        assert np.max(np.abs(march)) > 0.1
+        assert np.allclose(y, np.append(march[0, :100], march[:, 100:]),
+                           rtol=1e-9, atol=1e-9 * np.max(np.abs(march)))
+        assert pair.agreement_residual < 1e-9
 
     @pytest.mark.parametrize("seed_int", [4, 5])
     def test_train_table_matches_the_sampled_recursion(self, seed_int):
@@ -331,7 +366,7 @@ class TestDistinguishingSearch:
                                                      + [0.0] * (10 - k))]
                       for k in range(7)])
             for m in (d, pair.sigma, pair.sigma_hat))
-        Z, R = _power_table(d, 1.0, [0.0], 1.0, 11)
+        Z, R = _power_table(d, 1.0, 1.0, [(0.0, 1.0)], 11)
         y = _pulse_outputs(Z, R[0], range(7))
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - recursion)) <= 1e-12 * scale
