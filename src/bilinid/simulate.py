@@ -15,12 +15,13 @@ requested points.
 
 Pulses of one amplitude on a uniform grid need no march at all: every such
 output is a power of two one-step maps, read from one table (_power_table,
-_pulse_outputs). A state that leaves the representable range raises
-Overflow instead of giving outputs.
+_pulse_outputs). The table is filled by repeated squaring, not one step at
+a time: rows p .. 2p-1 are rows 0 .. p-1 times the p-th power of the maps.
+A state that leaves the representable range raises Overflow instead of
+giving outputs.
 """
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .core import (TYPE_I, FourTuple, PiecewiseConstantInput, Trajectory,
                    pulse_input, validate)
@@ -73,8 +74,9 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     if t.kind == TYPE_I:
         xa = np.append(xa, 1.0)
     X = np.empty((events.size, xa.size))
-    for k, j in enumerate(which.tolist()):
-        X[k] = xa = Phi[j] @ xa
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, j in enumerate(which.tolist()):
+            X[k] = xa = Phi[j] @ xa
     states = _finite(X)[wanted, :t.n]
     return Trajectory(grid, states @ t.c, states if with_states else None)
 
@@ -100,21 +102,29 @@ def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
     state by delta at the level alpha and F_l by h_l at the level beta_l of
     trail = [(beta_l, h_l), ...]; z0 and c are the start state and output
     row of simulate (in the homogeneous form [x; 1] for kind I). Repeated
-    (level, step) pairs share one map. One stacked expm gives the maps, and
-    each step is one matvec with blockdiag(E', F_1 .. F_L)."""
+    (level, step) pairs share one map. One stacked expm gives the maps P =
+    (E', F_1 .. F_L), and the rows come by repeated squaring: rows p .. 2p-1
+    are rows 0 .. p-1 times P^p, for p = 1, 2, 4, ..., so about log2(points)
+    batched products fill the table and no power past the last needed one
+    is formed."""
     keys, which = np.unique([beta + 1j * h for beta, h in trail],
                             return_inverse=True)
-    maps = expm(np.append(delta, keys.imag)[:, None, None]
-                * _generators(t, np.append(alpha, keys.real)))
-    m = maps.shape[-1]
-    z = np.eye(m)[-1] if t.kind == TYPE_I else t.b
-    W = np.empty((points, len(maps) * m))
-    W[0] = np.concatenate([z, np.tile(np.pad(t.c, (0, m - t.n)), keys.size)])
-    step = block_diag(maps[0].T, *maps[1:])
-    for j in range(1, points):
-        W[j] = W[j - 1] @ step
-    R = _finite(W)[:, m:].reshape(points, keys.size, m).swapaxes(0, 1)
-    return W[:, :m], R[which]
+    P = expm(np.append(delta, keys.imag)[:, None, None]
+             * _generators(t, np.append(alpha, keys.real)))
+    P[0] = P[0].T
+    m = P.shape[-1]
+    W = np.empty((len(P), points, m))
+    W[0, 0] = np.eye(m)[-1] if t.kind == TYPE_I else t.b
+    W[1:, 0] = np.pad(t.c, (0, m - t.n))
+    p = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while p < points:
+            W[:, p:2 * p] = W[:, :min(p, points - p)] @ P
+            if 2 * p < points:
+                P = P @ P
+            p *= 2
+    _finite(W)
+    return W[0], W[1:][which]
 
 
 def _pulse_outputs(Z, R, k):

@@ -72,10 +72,11 @@ class TestSimulate:
         p = tmp_path / "fast.json"
         p.write_text(to_json(FourTuple([[200.0]], [[0.0]], [1.0], [1.0],
                                        "II")))
-        code, out, _ = _run(capsys, "simulate", "--system", str(p),
-                            "--pulse", "0", "1", "1", "--grid", "0:0.1:5")
+        code, out, err = _run(capsys, "simulate", "--system", str(p),
+                              "--pulse", "0", "1", "1", "--grid", "0:0.1:5")
         assert code == 2
         assert json.loads(out)["error"] == "Overflow"
+        assert err == ""
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, "simulate", "--system",

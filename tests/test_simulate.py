@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from bilinid import (FourTuple, PiecewiseConstantInput, SampledSystem,
                      constant_input, phi1, pulse_input, respond_pulse,
                      sample_discrete, simulate)
 from bilinid.errors import GridOutOfRange, Overflow
-from bilinid.simulate import _march
+from bilinid.simulate import _march, _power_table
 
 from oracles import simulate_rk4
 
@@ -138,6 +139,66 @@ class TestSimulate:
         y = simulate(t, u, grid).outputs
         ys = simulate(scaled, u, grid).outputs
         assert np.allclose(ys, factor * y, atol=1e-9, rtol=1e-9)
+
+
+def _table_by_steps(t, alpha, delta, trail, points):
+    """Z and R of _power_table by one matvec per row, from expm of the
+    generators built here: [[A + vN, v b], [0, 0]] on [x; 1] for kind I."""
+    def step(level, h):
+        G = t.A + level * t.N
+        if t.kind == "I":
+            G = np.block([[G, level * t.b[:, None]], [np.zeros((1, t.n + 1))]])
+        return scipy.linalg.expm(h * G)
+
+    m = t.n + (t.kind == "I")
+    Z = [np.eye(m)[-1] if t.kind == "I" else t.b]
+    E = step(alpha, delta)
+    for _ in range(1, points):
+        Z.append(E @ Z[-1])
+    R = []
+    for beta, h in trail:
+        F = step(beta, h)
+        R.append([np.pad(t.c, (0, m - t.n))])
+        for _ in range(1, points):
+            R[-1].append(R[-1][-1] @ F)
+    return np.array(Z), np.array(R).reshape(len(trail), points, m)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("points", [1, 2, 11, 301, 501])
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    @pytest.mark.parametrize("trail", [[], [(0.0, 0.01), (0.8, 0.02),
+                                            (0.0, 0.01), (0.8, 0.02),
+                                            (0.8, 0.01)]])
+    def test_squared_rows_match_a_row_by_row_loop(self, points, kind, trail):
+        # rows p .. 2p-1 come from rows 0 .. p-1 times the p-th power; every
+        # row stays within 1e-12 of its own scale of one matvec per step
+        t = _random_system(41, kind)
+        Z, R = _power_table(t, 1.3, 0.01, trail, points)
+        Z0, R0 = _table_by_steps(t, 1.3, 0.01, trail, points)
+        assert Z.shape == Z0.shape and R.shape == R0.shape
+        assert len(Z) == points and R.shape[:2] == (len(trail), points)
+        for got, ref in ((Z, Z0), (R, R0)):
+            scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_rows_finite_when_the_next_power_would_overflow(self):
+        # e^{2.3 j} is finite for j < 300, and so are the powers up to
+        # e^{2.3 * 256}; the next square e^{2.3 * 512} would overflow, but
+        # the table never forms it
+        t = FourTuple([[2.3]], [[0.0]], [1.0], [1.0], "II")
+        Z, R = _power_table(t, 0.0, 1.0, [(0.0, 1.0)], 300)
+        expect = np.exp(2.3 * np.arange(300))
+        assert np.allclose(Z[:, 0], expect, rtol=1e-12, atol=0.0)
+        assert np.allclose(R[0, :, 0], expect, rtol=1e-12, atol=0.0)
+
+    def test_overflowing_power_of_an_unexcited_mode_raises(self):
+        # the start state never excites the e^{20} mode, so every row is
+        # finite, but its 64th power is not: Overflow, never a wrong row
+        t = FourTuple([[-1.0, 0.0], [0.0, 20.0]], np.zeros((2, 2)),
+                      [1.0, 0.0], [1.0, 0.0], "II")
+        with pytest.raises(Overflow):
+            _power_table(t, 0.0, 1.0, [], 501)
 
 
 class TestSampled:
