@@ -184,8 +184,8 @@ class TestPowerTable:
 
     def test_rows_finite_when_the_next_power_would_overflow(self):
         # e^{2.3 j} is finite for j < 300, and so are the powers up to
-        # e^{2.3 * 256}; the next square e^{2.3 * 512} would overflow, but
-        # the table never forms it
+        # e^{2.3 * 256}; the next square e^{2.3 * 512} would overflow, and
+        # no row needs it, so the table must neither raise nor lose a row
         t = FourTuple([[2.3]], [[0.0]], [1.0], [1.0], "II")
         Z, R = _power_table(t, 0.0, 1.0, [(0.0, 1.0)], 300)
         expect = np.exp(2.3 * np.arange(300))
