@@ -1,9 +1,12 @@
 """Reproducible end-to-end checks of the package's headline guarantees.
 
-Each criterion draws its own deterministically seeded samples, verifies the
-advertised quantitative bounds, and reports a single pass/fail result with
-the worst observed residuals. run_all() executes the suite in order; the CLI
-verb `reproduce` and tests/test_acceptance.py both delegate here.
+Each criterion body draws its samples from its own seeded stream, calls
+fail(msg) for every advertised bound it finds broken, and returns a line of
+details with the worst observed residuals. The _criterion decorator is the
+one runner around every body: it times the body, hands it the stream and
+fail, appends the first four failures to the details, and builds the
+CriterionResult. ALL_CRITERIA lists the criteria in order; the CLI verb
+`reproduce` and tests/test_acceptance.py both run its entries.
 """
 
 import time
@@ -46,14 +49,32 @@ class CriterionResult:
         return f"{tag}  criterion {self.index}: {self.name} -- {self.details}"
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(index: int, name: str, budget: float, label: str):
+    """Make a criterion from body(rng, fail) -> details. The body draws from
+    seeded_rng(ACCEPTANCE_SEED, label) and calls fail(msg) for each broken
+    bound; the criterion passes when the body never calls fail, and its
+    details end with the first four failures otherwise."""
+    def wrap(body):
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            failures = []
+            details = body(seeded_rng(ACCEPTANCE_SEED, label), failures.append)
+            if failures:
+                details += "; FAILURES: " + "; ".join(failures[:4])
+            return CriterionResult(index, name, not failures, details,
+                                   time.perf_counter() - start, budget)
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+    return wrap
+
+
+@_criterion(1, "closed-loop moment-matching twins", 5.0, "twins")
+def criterion_1(rng, fail) -> str:
     """Twin systems: distinct, equal on every c (A + g N)^k b, inequivalent."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "twins")
     gammas = (-2.0, -1.0, 0.0, 1.0, 2.0)
     min_sep = np.inf
     worst_gap = 0.0
-    failures = []
     for i in range(100):
         n = 2 + (i % 2)
         t, _ = sample_in_G0(n, rng)
@@ -61,7 +82,7 @@ def criterion_1() -> CriterionResult:
         sep = float(np.linalg.norm(th.N - t.N))
         min_sep = min(min_sep, sep)
         if sep <= 1e-6:
-            failures.append(f"#{i}: twin too close ({sep:.2e})")
+            fail(f"#{i}: twin too close ({sep:.2e})")
         scale = 1.0
         gap = 0.0
         for g in gammas:
@@ -74,18 +95,13 @@ def criterion_1() -> CriterionResult:
                 v1, v2 = G1 @ v1, G2 @ v2
         worst_gap = max(worst_gap, gap / scale)
         if gap > 1e-8 * scale:
-            failures.append(f"#{i}: moment gap {gap:.2e} vs scale {scale:.2e}")
+            fail(f"#{i}: moment gap {gap:.2e} vs scale {scale:.2e}")
         eq, word = io_equivalent(t, th)
         if eq or word is None:
-            failures.append(f"#{i}: twins not separated by a word")
-    details = (f"100 twin pairs (n=2,3): min ||M-N|| {min_sep:.2e}, worst "
-               f"relative moment gap {worst_gap:.2e} over k<=2n, "
-               f"g in {{-2,-1,0,1,2}}; all inequivalent with word certificates")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(1, "closed-loop moment-matching twins",
-                           not failures, details,
-                           time.perf_counter() - start, 5.0)
+            fail(f"#{i}: twins not separated by a word")
+    return (f"100 twin pairs (n=2,3): min ||M-N|| {min_sep:.2e}, worst "
+            f"relative moment gap {worst_gap:.2e} over k<=2n, "
+            f"g in {{-2,-1,0,1,2}}; all inequivalent with word certificates")
 
 
 def _gap(pair, u, grid) -> float:
@@ -102,16 +118,14 @@ def _separation(pair) -> float:
     return _gap(pair, u, np.linspace(0.0, u.horizon - 1.0, 160))
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "single-pulse counterexample pairs", 30.0, "single-pulse")
+def criterion_2(rng, fail) -> str:
     """Single-pulse pairs agree under the pulse of width tau, simulated
     member by member, and differ under the single pulse of another width
     tau* that they carry."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "single-pulse")
     combos = ((1.0, 1.0), (2.0, 0.5), (0.3, -1.0))
     worst_agree = 0.0
     weakest = (np.inf, None)    # separation, width tau*
-    failures = []
     for i in range(25):
         n = 2 + (i % 2)
         # keep outputs O(100) over [0, 5 tau] so the absolute agreement
@@ -127,38 +141,31 @@ def criterion_2() -> CriterionResult:
                          np.linspace(0.0, 5.0 * tau, 500))
             worst_agree = max(worst_agree, agree)
             if agree > 1e-7:
-                failures.append(f"{label}: agreement {agree:.2e}")
+                fail(f"{label}: agreement {agree:.2e}")
             eq, _ = io_equivalent(pair.sigma, pair.sigma_hat)
             if eq:
-                failures.append(f"{label}: pair reported equivalent")
+                fail(f"{label}: pair reported equivalent")
             u = pair.distinguishing_input
             if u is None:
-                failures.append(f"{label}: no distinguishing input found")
+                fail(f"{label}: no distinguishing input found")
                 continue
             disc = _separation(pair)
             weakest = min(weakest, (disc, float(u.breakpoints[1])))
             if disc <= 1e-6:
-                failures.append(f"{label}: distinguisher gap only {disc:.2e}")
-    details = (f"25 class-C seeds x 3 (tau, alpha): worst pulse-response "
-               f"agreement {worst_agree:.2e} on 500-point grids over "
-               f"[0, 5 tau]; all pairs inequivalent; weakest single-pulse "
-               f"(width tau*) separation {weakest[0]:.2e} at tau* = "
-               f"{weakest[1]:.3g}")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(2, "single-pulse counterexample pairs",
-                           not failures, details,
-                           time.perf_counter() - start, 30.0)
+                fail(f"{label}: distinguisher gap only {disc:.2e}")
+    return (f"25 class-C seeds x 3 (tau, alpha): worst pulse-response "
+            f"agreement {worst_agree:.2e} on 500-point grids over "
+            f"[0, 5 tau]; all pairs inequivalent; weakest single-pulse "
+            f"(width tau*) separation {weakest[0]:.2e} at tau* = "
+            f"{weakest[1]:.3g}")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "pulse-family and constant-input pairs", 30.0, "pulse-family")
+def criterion_3(rng, fail) -> str:
     """Pulse-family pairs agree for every trailing constant level, and the
     single pulse of another width that each pair carries separates it."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "pulse-family")
     worst = 0.0
     min_disc = np.inf
-    failures = []
     for i in range(25):
         n = 2 + (i % 2)
         # the trailing constant is beta, so the coast matrix is
@@ -176,66 +183,52 @@ def criterion_3() -> CriterionResult:
                         for b in BETA_TEST_SET)
             worst = max(worst, agree)
             if agree > 1e-7:
-                failures.append(f"{label}: agreement {agree:.2e}")
+                fail(f"{label}: agreement {agree:.2e}")
             eq, word = io_equivalent(pair.sigma, pair.sigma_hat)
             if eq or word is None:
-                failures.append(f"{label}: pair not separated by a word")
+                fail(f"{label}: pair not separated by a word")
             if pair.distinguishing_input is None:
-                failures.append(f"{label}: no distinguishing input found")
+                fail(f"{label}: no distinguishing input found")
                 continue
             disc = _separation(pair)
             min_disc = min(min_disc, disc)
             if disc <= 1e-6:
-                failures.append(f"{label}: distinguisher gap only {disc:.2e}")
-    details = (f"25 G0 seeds x tau in {{0, 1}}: worst agreement {worst:.2e} "
-               f"across 7 trailing levels on 301-point grids over "
-               f"[0, tau+5]; all pairs word-inequivalent; weakest "
-               f"single-pulse separation {min_disc:.2e}")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(3, "pulse-family and constant-input pairs",
-                           not failures, details,
-                           time.perf_counter() - start, 30.0)
+                fail(f"{label}: distinguisher gap only {disc:.2e}")
+    return (f"25 G0 seeds x tau in {{0, 1}}: worst agreement {worst:.2e} "
+            f"across 7 trailing levels on 301-point grids over "
+            f"[0, tau+5]; all pairs word-inequivalent; weakest "
+            f"single-pulse separation {min_disc:.2e}")
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "sampled-data counterexample pairs", 10.0, "sampled")
+def criterion_4(rng, fail) -> str:
     """Sampled pairs: identical samples, distinct continuous outputs."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "sampled")
     worst_agree = 0.0
     min_disc = np.inf
-    failures = []
     for i in range(10):
         t, _ = sample_in_B_alpha(1.0, rng)
         pair = sampled_pair(t, 1.0, 1.0)
         worst_agree = max(worst_agree, pair.agreement_residual)
         if pair.agreement_residual > 1e-9:
-            failures.append(f"#{i}: sampled agreement {pair.agreement_residual:.2e}")
+            fail(f"#{i}: sampled agreement {pair.agreement_residual:.2e}")
         disc = _gap(pair, pair.distinguishing_input,
                     np.linspace(0.0, 3.0, 301))
         min_disc = min(min_disc, disc)
         if disc <= 1e-4:
-            failures.append(f"#{i}: continuous gap only {disc:.2e}")
-    details = (f"10 B_alpha systems at tau=1, alpha=1: worst sampled "
-               f"agreement {worst_agree:.2e} over pulse trains (widths up to "
-               f"6 tau, 10 samples); weakest continuous separation "
-               f"{min_disc:.2e} on [0, 3]")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(4, "sampled-data counterexample pairs",
-                           not failures, details,
-                           time.perf_counter() - start, 10.0)
+            fail(f"#{i}: continuous gap only {disc:.2e}")
+    return (f"10 B_alpha systems at tau=1, alpha=1: worst sampled "
+            f"agreement {worst_agree:.2e} over pulse trains (widths up to "
+            f"6 tau, 10 samples); weakest continuous separation "
+            f"{min_disc:.2e} on [0, 3]")
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "identification from pulse responses", 60.0, "identify")
+def criterion_5(rng, fail) -> str:
     """Identification recovers each system up to similarity."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "identify")
     cfg = IdentifyConfig(n_max=4)
     loose = Tolerances(rank_tol=DEFAULT_TOL.rank_tol, residual_tol=1e-5,
                        agree_tol=DEFAULT_TOL.agree_tol)
     worst_inv = 0.0
-    failures = []
     for i in range(50):
         n = 1 + (i % 3)
         kind = TYPE_I if (i // 3) % 2 == 0 else TYPE_II
@@ -245,20 +238,20 @@ def criterion_5() -> CriterionResult:
         try:
             res = identify(oracle_from_tuple(truth, alpha), cfg, rng=rng)
         except BilinError as e:
-            failures.append(f"{label}: {type(e).__name__}: {e}")
+            fail(f"{label}: {type(e).__name__}: {e}")
             continue
         if res.n_identified != n:
-            failures.append(f"{label}: order {res.n_identified}")
+            fail(f"{label}: order {res.n_identified}")
             continue
         if not is_canonical(res.tuple):
-            failures.append(f"{label}: result not canonical")
+            fail(f"{label}: result not canonical")
         eq, _ = io_equivalent(res.tuple, truth, loose)
         if not eq:
-            failures.append(f"{label}: not i/o equivalent at 1e-5")
+            fail(f"{label}: not i/o equivalent at 1e-5")
         try:
             similarity_between(res.tuple, truth, loose)
         except BilinError as e:
-            failures.append(f"{label}: similarity failed ({type(e).__name__})")
+            fail(f"{label}: similarity failed ({type(e).__name__})")
         if n == 1:
             inv = max(abs(float(res.tuple.A[0, 0] - truth.A[0, 0])),
                       abs(float(res.tuple.N[0, 0] - truth.N[0, 0])),
@@ -266,26 +259,19 @@ def criterion_5() -> CriterionResult:
                                 - truth.c @ truth.b)))
             worst_inv = max(worst_inv, inv)
             if inv > 1e-6:
-                failures.append(f"{label}: scalar invariants off by {inv:.2e}")
-    details = (f"50 identifiable systems (n=1..3, kinds I and II, alpha in "
-               f"{{1, -0.5}}): all recovered canonically, i/o equivalent at "
-               f"1e-5, similar to truth; worst n=1 invariant error "
-               f"{worst_inv:.2e}")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(5, "identification from pulse responses",
-                           not failures, details,
-                           time.perf_counter() - start, 60.0)
+                fail(f"{label}: scalar invariants off by {inv:.2e}")
+    return (f"50 identifiable systems (n=1..3, kinds I and II, alpha in "
+            f"{{1, -0.5}}): all recovered canonically, i/o equivalent at "
+            f"1e-5, similar to truth; worst n=1 invariant error "
+            f"{worst_inv:.2e}")
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "similarity recovery and self-dual transform", 10.0, "similarity")
+def criterion_6(rng, fail) -> str:
     """similarity_between recovers conjugators; self-dual T relations hold."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "similarity")
     worst_T = 0.0
     worst_dual = 0.0
     done = 0
-    failures = []
     while done < 100:
         n = 2 + (done % 2)
         t = gaussian_tuple(n, rng)
@@ -297,13 +283,13 @@ def criterion_6() -> CriterionResult:
         try:
             w = similarity_between(t, conjugate(t, T0))
         except BilinError as e:
-            failures.append(f"#{done}: similarity raised {type(e).__name__}")
+            fail(f"#{done}: similarity raised {type(e).__name__}")
             done += 1
             continue
         err = float(np.linalg.norm(w.T - T0) / max(1.0, np.linalg.norm(T0)))
         worst_T = max(worst_T, err)
         if err > 1e-8:
-            failures.append(f"#{done}: conjugator error {err:.2e}")
+            fail(f"#{done}: conjugator error {err:.2e}")
         T = self_dual_T(t.A, t.b, t.c)
         nT = max(1.0, float(np.linalg.norm(T)))
         rel = max(
@@ -314,28 +300,21 @@ def criterion_6() -> CriterionResult:
         )
         worst_dual = max(worst_dual, rel)
         if rel > 1e-8:
-            failures.append(f"#{done}: self-dual residual {rel:.2e}")
+            fail(f"#{done}: self-dual residual {rel:.2e}")
         done += 1
-    details = (f"100 conjugated canonical pairs (cond <= 1e3): worst "
-               f"conjugator recovery error {worst_T:.2e}; worst self-dual "
-               f"transform residual (intertwining, b = T c', symmetry) "
-               f"{worst_dual:.2e}")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(6, "similarity recovery and self-dual transform",
-                           not failures, details,
-                           time.perf_counter() - start, 10.0)
+    return (f"100 conjugated canonical pairs (cond <= 1e3): worst "
+            f"conjugator recovery error {worst_T:.2e}; worst self-dual "
+            f"transform residual (intertwining, b = T c', symmetry) "
+            f"{worst_dual:.2e}")
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "simulation consistency laws", 10.0, "simulation-consistency")
+def criterion_7(rng, fail) -> str:
     """Sampled recursion, semigroup restart, and time rescaling all agree
     with direct simulation."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "simulation-consistency")
     worst_disc = 0.0
     worst_semi = 0.0
     worst_rescale = 0.0
-    failures = []
     for i in range(50):
         n = 2 + (i % 2)
         t = gaussian_tuple(n, rng, TYPE_I, scale=0.4)
@@ -354,7 +333,7 @@ def criterion_7() -> CriterionResult:
         ) / scale
         worst_disc = max(worst_disc, d)
         if d > 1e-9:
-            failures.append(f"#{i}: sampled-vs-simulate gap {d:.2e}")
+            fail(f"#{i}: sampled-vs-simulate gap {d:.2e}")
 
         # restart from the third sample and land on the same trajectory
         x_mid, t_mid = samples[3][0], 3 * tau
@@ -363,7 +342,7 @@ def criterion_7() -> CriterionResult:
         semi = float(np.max(np.abs(tail.outputs - traj.outputs[3:]))) / s
         worst_semi = max(worst_semi, semi)
         if semi > 1e-8:
-            failures.append(f"#{i}: semigroup restart gap {semi:.2e}")
+            fail(f"#{i}: semigroup restart gap {semi:.2e}")
 
         # slowing time by kappa and dividing the generators by kappa is a
         # no-op on outputs (kind I also divides the drive b)
@@ -380,36 +359,25 @@ def criterion_7() -> CriterionResult:
         resc = float(np.max(np.abs(y_base - y_slow))) / s
         worst_rescale = max(worst_rescale, resc)
         if resc > 1e-8:
-            failures.append(f"#{i}: rescaling gap {resc:.2e}")
-    details = (f"50 systems: sampled recursion matches simulation to "
-               f"{worst_disc:.2e} (states and outputs); semigroup restart to "
-               f"{worst_semi:.2e}; time rescaling to {worst_rescale:.2e}")
-    if failures:
-        details += "; FAILURES: " + "; ".join(failures[:4])
-    return CriterionResult(7, "simulation consistency laws",
-                           not failures, details,
-                           time.perf_counter() - start, 10.0)
+            fail(f"#{i}: rescaling gap {resc:.2e}")
+    return (f"50 systems: sampled recursion matches simulation to "
+            f"{worst_disc:.2e} (states and outputs); semigroup restart to "
+            f"{worst_semi:.2e}; time rescaling to {worst_rescale:.2e}")
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "genericity of G0 and identifiability", 5.0, "gaussian-classes")
+def criterion_8(rng, fail) -> str:
     """Random Gaussian tuples generically admit twins and identification."""
-    start = time.perf_counter()
-    rng = seeded_rng(ACCEPTANCE_SEED, "gaussian-classes")
     hits = 0
     for _ in range(100):
         cm = classify(gaussian_tuple(3, rng))
         if cm.in_G0 and cm.in_M:
             hits += 1
-    details = (f"{hits}/100 standard Gaussian n=3 tuples lie in G0 and in "
-               f"the identifiable class (need >= 99)")
-    return CriterionResult(8, "genericity of G0 and identifiability",
-                           hits >= 99, details,
-                           time.perf_counter() - start, 5.0)
+    if hits < 99:
+        fail(f"only {hits}/100 in both classes")
+    return (f"{hits}/100 standard Gaussian n=3 tuples lie in G0 and in "
+            f"the identifiable class (need >= 99)")
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8)
-
-
-def run_all():
-    return [f() for f in ALL_CRITERIA]

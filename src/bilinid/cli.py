@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import ALL_CRITERIA, run_all
-from .core import (_dumps, _loads, from_json, input_from_dict, pair_to_json,
-                   seeded_rng, to_json, trajectory_to_json)
+from .acceptance import ALL_CRITERIA
+from .core import (TYPE_II, _dumps, _loads, from_json, input_from_dict,
+                   pair_to_json, seeded_rng, to_json, trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         sample_in_C, sample_in_G0, sampled_pair,
                         single_pulse_pair)
@@ -89,6 +89,11 @@ def _emit(payload, out):
         print(text)
 
 
+def _add_tol_and_out(s):
+    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    s.add_argument("--out")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="bilinid", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="verb", required=True)
@@ -109,22 +114,19 @@ def _build_parser() -> _Parser:
                        help="test two systems for i/o equivalence")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    s.add_argument("--out")
+    _add_tol_and_out(s)
 
     s = sub.add_parser("check-canonical",
                        help="test extended reachability and observability")
     s.add_argument("--system", required=True)
-    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    s.add_argument("--out")
+    _add_tol_and_out(s)
 
     s = sub.add_parser("classify",
                        help="membership in G0, C, the identifiable class, "
                             "and (n=2) B_alpha")
     s.add_argument("--system", required=True)
     s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    s.add_argument("--out")
+    _add_tol_and_out(s)
 
     s = sub.add_parser("counterexample",
                        help="construct an indistinguishable-but-inequivalent "
@@ -141,8 +143,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--l", type=int, default=None,
                    help="aliasing integer for the sampled class")
     s.add_argument("--rng-seed", type=int, default=0)
-    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    s.add_argument("--out")
+    _add_tol_and_out(s)
 
     s = sub.add_parser("identify",
                        help="identify a system from its own pulse responses")
@@ -153,8 +154,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--n-max", type=int, default=None)
     s.add_argument("--h", type=float, default=None)
     s.add_argument("--rng-seed", type=int, default=0)
-    s.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    s.add_argument("--out")
+    _add_tol_and_out(s)
 
     s = sub.add_parser("reproduce",
                        help="run the acceptance criteria and print a table")
@@ -218,7 +218,6 @@ def _cmd_counterexample(args):
     elif cls in ("pulse-family", "constants"):
         tau = 0.0 if cls == "constants" else args.tau
         if seed is None:
-            from .core import TYPE_II
             seed, _ = sample_in_G0(args.n, rng, tol, kind=TYPE_II)
         pair = pulse_family_pair(seed, tau, args.alpha, tol)
     else:
@@ -247,13 +246,11 @@ def _cmd_identify(args):
 
 
 def _cmd_reproduce(args):
-    if args.only:
-        bad = [k for k in args.only if not 1 <= k <= len(ALL_CRITERIA)]
-        if bad:
-            raise _UsageError(f"no criterion {bad[0]}")
-        results = [ALL_CRITERIA[k - 1]() for k in sorted(set(args.only))]
-    else:
-        results = run_all()
+    only = args.only or range(1, len(ALL_CRITERIA) + 1)
+    bad = [k for k in only if not 1 <= k <= len(ALL_CRITERIA)]
+    if bad:
+        raise _UsageError(f"no criterion {bad[0]}")
+    results = [ALL_CRITERIA[k - 1]() for k in sorted(set(only))]
     for r in results:
         print(r.line)
         print(f"criterion {r.index}: {r.elapsed:.2f}s "

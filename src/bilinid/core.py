@@ -230,16 +230,34 @@ def _dec_scalar(x, where: str) -> float:
         raise ParseError(f"{where}: cannot parse {x!r} as a number") from None
 
 
-def _dec_vec(v, length: int, where: str) -> np.ndarray:
-    if not isinstance(v, list) or len(v) != length:
-        raise ParseError(f"{where}: expected a list of {length} numbers")
+def _dec_vec(v, where: str, length: Optional[int] = None) -> np.ndarray:
+    """A list of numbers, of the given length unless that is None."""
+    if not isinstance(v, list) or length not in (None, len(v)):
+        count = "" if length is None else f"{length} "
+        raise ParseError(f"{where}: expected a list of {count}numbers")
     return np.array([_dec_scalar(x, where) for x in v])
 
 
-def _dec_mat(m, n: int, where: str) -> np.ndarray:
-    if not isinstance(m, list) or len(m) != n:
-        raise ParseError(f"{where}: expected {n} rows")
-    return np.array([_dec_vec(row, n, f"{where}[{i}]") for i, row in enumerate(m)])
+def _dec_mat(m, where: str, n: Optional[int] = None) -> np.ndarray:
+    """A list of n rows of n numbers or, with n None, of rows of one
+    length."""
+    if not isinstance(m, list) or n not in (None, len(m)):
+        count = "" if n is None else f"{n} "
+        raise ParseError(f"{where}: expected a list of {count}rows")
+    rows = [_dec_vec(row, f"{where}[{i}]", n) for i, row in enumerate(m)]
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{where}: rows differ in length")
+    return np.array(rows)
+
+
+def _dec_obj(doc, keys, where: str) -> dict:
+    """A JSON object that holds every one of keys."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{where}: missing {key!r} key")
+    return doc
 
 
 def _dumps(doc) -> str:
@@ -267,11 +285,7 @@ def to_json(t: FourTuple) -> str:
 
 
 def tuple_from_dict(doc) -> FourTuple:
-    if not isinstance(doc, dict):
-        raise ParseError("expected a JSON object")
-    for key in ("n", "kind", "A", "N", "b", "c"):
-        if key not in doc:
-            raise ParseError(f"missing {key!r} key")
+    _dec_obj(doc, ("n", "kind", "A", "N", "b", "c"), "system")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("n must be a positive integer")
@@ -279,10 +293,10 @@ def tuple_from_dict(doc) -> FourTuple:
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}")
     t = FourTuple(
-        A=_dec_mat(doc["A"], n, "A"),
-        N=_dec_mat(doc["N"], n, "N"),
-        b=_dec_vec(doc["b"], n, "b"),
-        c=_dec_vec(doc["c"], n, "c"),
+        A=_dec_mat(doc["A"], "A", n),
+        N=_dec_mat(doc["N"], "N", n),
+        b=_dec_vec(doc["b"], "b", n),
+        c=_dec_vec(doc["c"], "c", n),
         kind=kind,
     )
     validate(t)
@@ -301,17 +315,11 @@ def trajectory_to_json(tr: Trajectory) -> str:
 
 
 def trajectory_from_json(text: str) -> Trajectory:
-    doc = _loads(text)
-    if not isinstance(doc, dict) or "times" not in doc or "outputs" not in doc:
-        raise ParseError("trajectory requires 'times' and 'outputs'")
-    times = np.array([_dec_scalar(x, "times") for x in doc["times"]])
-    outputs = np.array([_dec_scalar(x, "outputs") for x in doc["outputs"]])
-    states = None
-    if doc.get("states") is not None:
-        states = np.array(
-            [[_dec_scalar(x, "states") for x in row] for row in doc["states"]]
-        )
-    return Trajectory(times, outputs, states)
+    doc = _dec_obj(_loads(text), ("times", "outputs"), "trajectory")
+    states = doc.get("states")
+    return Trajectory(_dec_vec(doc["times"], "times"),
+                      _dec_vec(doc["outputs"], "outputs"),
+                      None if states is None else _dec_mat(states, "states"))
 
 
 def input_to_dict(u: PiecewiseConstantInput) -> dict:
@@ -323,12 +331,10 @@ def input_to_dict(u: PiecewiseConstantInput) -> dict:
 
 
 def input_from_dict(doc) -> PiecewiseConstantInput:
-    for key in ("breakpoints", "levels", "horizon"):
-        if key not in doc:
-            raise ParseError(f"missing {key!r} key")
+    _dec_obj(doc, ("breakpoints", "levels", "horizon"), "input")
     return PiecewiseConstantInput(
-        np.array([_dec_scalar(x, "breakpoints") for x in doc["breakpoints"]]),
-        np.array([_dec_scalar(x, "levels") for x in doc["levels"]]),
+        _dec_vec(doc["breakpoints"], "breakpoints"),
+        _dec_vec(doc["levels"], "levels"),
         _dec_scalar(doc["horizon"], "horizon"),
     )
 
@@ -353,11 +359,9 @@ def pair_to_json(p: CounterexamplePair) -> str:
 
 
 def pair_from_json(text: str) -> CounterexamplePair:
-    doc = _loads(text)
-    for key in ("sigma", "sigma_hat", "input_class", "agreement_residual"):
-        if key not in doc:
-            raise ParseError(f"missing {key!r} key")
-    cls = doc["input_class"]
+    doc = _dec_obj(_loads(text), ("sigma", "sigma_hat", "input_class",
+                                  "agreement_residual"), "pair")
+    cls = _dec_obj(doc["input_class"], ("kind",), "input_class")
     u = doc.get("distinguishing_input")
     return CounterexamplePair(
         sigma=tuple_from_dict(doc["sigma"]),

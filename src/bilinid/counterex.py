@@ -407,33 +407,33 @@ def gaussian_tuple(n: int, rng, kind: str = TYPE_I,
                      scale * rng.standard_normal(n), kind)
 
 
-def _rejection_sample(n, rng, predicate, kind, scale, max_tries):
-    for tries in range(1, max_tries + 1):
+MAX_TRIES = 200
+
+
+def _rejection_sample(n, rng, predicate, kind, scale):
+    for tries in range(1, MAX_TRIES + 1):
         t = gaussian_tuple(n, rng, kind, scale)
         if predicate(t):
             return t, tries
-    raise RuntimeError(f"no admissible tuple in {max_tries} draws")
+    raise RuntimeError(f"no admissible tuple in {MAX_TRIES} draws")
 
 
-def sample_in_G0(n, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0,
-                 max_tries=200):
+def sample_in_G0(n, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0):
     """Rejection-sample a Gaussian tuple into G0; returns (tuple, draws)."""
     return _rejection_sample(
-        n, rng, lambda t: classify(t, tol=tol).in_G0, kind, scale, max_tries)
+        n, rng, lambda t: classify(t, tol=tol).in_G0, kind, scale)
 
 
-def sample_in_C(n, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0,
-                max_tries=200):
+def sample_in_C(n, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0):
     return _rejection_sample(
-        n, rng, lambda t: classify(t, tol=tol).in_C, kind, scale, max_tries)
+        n, rng, lambda t: classify(t, tol=tol).in_C, kind, scale)
 
 
-def sample_in_M(n, alpha, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0,
-                max_tries=200):
+def sample_in_M(n, alpha, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0):
     return _rejection_sample(
-        n, rng, lambda t: classify(t, alpha, tol).in_M, kind, scale, max_tries)
+        n, rng, lambda t: classify(t, alpha, tol).in_M, kind, scale)
 
 
-def sample_in_B_alpha(alpha, rng, tol=DEFAULT_TOL, scale=1.0, max_tries=200):
+def sample_in_B_alpha(alpha, rng, tol=DEFAULT_TOL, scale=1.0):
     return _rejection_sample(
-        2, rng, lambda t: in_b_alpha(t, alpha, tol), TYPE_I, scale, max_tries)
+        2, rng, lambda t: in_b_alpha(t, alpha, tol), TYPE_I, scale)

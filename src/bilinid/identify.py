@@ -54,15 +54,18 @@ class IdentificationResult:
     diagnostics: dict
 
 
+# The delta-grid spans TAU_SPAN; tau0 is drawn from [TAU0_LOW, TAU0_HIGH).
+TAU_SPAN = 2.0
+TAU0_LOW = 0.5
+TAU0_HIGH = 1.5
+MAX_TAU0_DRAWS = 8
+MAX_H_HALVINGS = 6  # bounds the h and, apart, the delta halvings
+
+
 @dataclass(frozen=True)
 class IdentifyConfig:
     n_max: int = 8
     h: float = 0.2
-    tau_span: float = 2.0
-    tau0_low: float = 0.5
-    tau0_high: float = 1.5
-    max_tau0_draws: int = 8
-    max_h_halvings: int = 6  # bounds the h and, apart, the delta halvings
 
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
@@ -178,15 +181,15 @@ def _halving(step: float, halvings: int, attempt):
 
 def _realize_with_retries(oracle, m, rng, cfg, tol):
     def at(h):
-        for draw in range(cfg.max_tau0_draws):
-            tau0 = float(rng.uniform(cfg.tau0_low, cfg.tau0_high))
+        for draw in range(MAX_TAU0_DRAWS):
+            tau0 = float(rng.uniform(TAU0_LOW, TAU0_HIGH))
             try:
                 return (*realize_free_response(oracle, tau0, h, m, tol), tau0, h)
             except OrderAmbiguous:
-                if draw + 1 == cfg.max_tau0_draws:
+                if draw + 1 == MAX_TAU0_DRAWS:
                     raise
 
-    return _halving(cfg.h, cfg.max_h_halvings, at)
+    return _halving(cfg.h, MAX_H_HALVINGS, at)
 
 
 def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
@@ -242,7 +245,7 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
 
     K = 2 * cfg.n_max + 2
     L, x0, fit, state_res, delta = _halving(
-        cfg.tau_span / K, cfg.max_h_halvings,
+        TAU_SPAN / K, MAX_H_HALVINGS,
         lambda d: _width_transition(oracle, A, c, h_used, m, x_tau0, tau0,
                                     d, K, tol))
     if oracle.kind == TYPE_I:

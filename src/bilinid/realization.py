@@ -142,12 +142,11 @@ def reach_obs(t: FourTuple):
     return R, O
 
 
-def krylov(A, v, count=None):
+def krylov(A, v):
     A = np.asarray(A, dtype=float)
     v = np.ravel(np.asarray(v, dtype=float))
-    count = v.shape[0] if count is None else count
     cols = [v]
-    for _ in range(count - 1):
+    for _ in range(v.shape[0] - 1):
         cols.append(A @ cols[-1])
     return np.column_stack(cols)
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bilinid import FourTuple, conjugate, gaussian_tuple, to_json
+from bilinid import acceptance
 from bilinid.cli import main
 
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
@@ -61,6 +63,18 @@ class TestSimulate:
                             "--input", str(u), "--grid", "0.5:0.5:2.5")
         assert code == 0
         assert len(json.loads(out)["outputs"]) == 5
+
+    @pytest.mark.parametrize("doc", [
+        {"breakpoints": "01", "levels": "12", "horizon": "5"},
+        "breakpoints levels horizon"])
+    def test_malformed_input_file_is_parse_error(self, capsys, scalar_file,
+                                                 tmp_path, doc):
+        u = tmp_path / "input.json"
+        u.write_text(json.dumps(doc))
+        code, out, _ = _run(capsys, "simulate", "--system", scalar_file,
+                            "--input", str(u), "--grid", "0:1:2")
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
 
     def test_bad_grid_is_usage_error(self, capsys, scalar_file):
         code, _, err = _run(capsys, "simulate", "--system", scalar_file,
@@ -253,6 +267,15 @@ class TestReproduce:
         assert code == 0
         assert out.startswith("PASS  criterion 8")
         assert "budget" in err
+
+    def test_failing_criterion_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "classify", lambda t: SimpleNamespace(
+            in_G0=False, in_M=False))
+        code, out, _ = _run(capsys, "reproduce", "--only", "8")
+        assert code == 2
+        assert out.startswith("FAIL  criterion 8")
+        assert out.rstrip().endswith(
+            "; FAILURES: only 0/100 in both classes")
 
     def test_unknown_criterion(self, capsys):
         code, _, _ = _run(capsys, "reproduce", "--only", "11")

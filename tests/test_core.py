@@ -150,6 +150,22 @@ class TestJson:
         tr2 = trajectory_from_json(trajectory_to_json(tr))
         assert tr2.states is None
 
+    def test_trajectory_requires_lists(self):
+        # a string is iterable, so an unchecked decoder reads "12" as [1, 2]
+        with pytest.raises(ParseError):
+            trajectory_from_json('{"times": "12", "outputs": "34"}')
+        with pytest.raises(ParseError):
+            trajectory_from_json('{"times": ["0", "1"], "outputs": ["0", "1"],'
+                                 ' "states": [["1"], ["1", "2"]]}')
+
+    # a string that names the keys passes an unchecked `key in doc` test
+    @pytest.mark.parametrize("doc", [
+        5, "breakpoints levels horizon",
+        {"breakpoints": "01", "levels": "12", "horizon": "5"}])
+    def test_input_must_be_an_object_of_lists(self, doc):
+        with pytest.raises(ParseError):
+            input_from_dict(doc)
+
     def test_input_round_trip(self):
         u = pulse_input(1.0, 0.5, -0.25, 7.0)
         u2 = input_from_dict(input_to_dict(u))
@@ -171,6 +187,14 @@ class TestJson:
         assert pair2.input_class.kind == "single-pulse"
         assert pair2.input_class.tau == 1.0
         assert pair_to_json(pair2) == s
+
+    def test_pair_input_class_requires_a_kind(self):
+        doc = json.loads(pair_to_json(CounterexamplePair(
+            sigma=_t(), sigma_hat=_t(), input_class=InputClass("constants"),
+            agreement_residual=0.0, distinguishing_word="A")))
+        del doc["input_class"]["kind"]
+        with pytest.raises(ParseError):
+            pair_from_json(json.dumps(doc))
 
     def test_pair_requires_a_certificate(self):
         with pytest.raises(ValueError):
