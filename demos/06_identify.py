@@ -1,8 +1,10 @@
 """Identification of a bilinear system from pulse responses alone.
 
-The oracle answers one question: "drive the system with a pulse of
-width tau and height alpha, what is the output at time t?". From
-finitely many such queries, identify() reconstructs a canonical
+One experiment drives the system with a pulse of width tau and height
+alpha and records the output after the pulse ends; the oracle answers a
+whole design of widths x offsets at once. A black box that can only
+answer "what is the output at time t?" one sample at a time works too.
+From finitely many such experiments, identify() reconstructs a canonical
 realization (A, N, b, c) that is input/output equivalent to the truth.
 """
 

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import ALL_CRITERIA
-from .core import (TYPE_II, _dumps, _loads, from_json, input_from_dict,
-                   pair_to_json, seeded_rng, to_json, trajectory_to_json)
+from .core import (INPUT_CLASS_KINDS, TYPE_II, _dumps, _loads, from_json,
+                   input_from_dict, pair_to_json, seeded_rng, to_json,
+                   trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         sample_in_C, sample_in_G0, sampled_pair,
                         single_pulse_pair)
@@ -132,8 +133,7 @@ def _build_parser() -> _Parser:
                        help="construct an indistinguishable-but-inequivalent "
                             "pair for a restricted input class")
     s.add_argument("--class", dest="input_class", required=True,
-                   choices=["single-pulse", "pulse-family", "constants",
-                            "sampled"])
+                   choices=INPUT_CLASS_KINDS)
     s.add_argument("--tau", type=float, default=1.0)
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--seed-tuple", help="system JSON file seeding the "

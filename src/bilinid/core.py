@@ -165,6 +165,9 @@ class SimilarityWitness:
         return max(self.residuals.values())
 
 
+INPUT_CLASS_KINDS = ("single-pulse", "pulse-family", "constants", "sampled")
+
+
 @dataclass(frozen=True, eq=False)
 class InputClass:
     """Descriptor of a restricted input class.
@@ -362,6 +365,10 @@ def pair_from_json(text: str) -> CounterexamplePair:
     doc = _dec_obj(_loads(text), ("sigma", "sigma_hat", "input_class",
                                   "agreement_residual"), "pair")
     cls = _dec_obj(doc["input_class"], ("kind",), "input_class")
+    if cls["kind"] not in INPUT_CLASS_KINDS:
+        raise ParseError(f"input_class: kind must be one of {INPUT_CLASS_KINDS}")
+    if not isinstance(doc.get("distinguishing_word"), (str, type(None))):
+        raise ParseError("distinguishing_word: expected a string or null")
     u = doc.get("distinguishing_input")
     return CounterexamplePair(
         sigma=tuple_from_dict(doc["sigma"]),

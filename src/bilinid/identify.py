@@ -24,6 +24,13 @@ step, folded back by the principal branch, misses: h is halved until the
 realized coast predicts one extra sample y(2 tau0), tau0 after the pulse
 ends, and delta until the fitted flow reaches the state the realization
 gives at the off-grid width tau0.
+
+The oracle is read in whole experiments: a design of pulse widths and
+offsets after the pulse end gives the record Y[j, k] = y(w_k + s_j) under
+the pulse of width w_k. The realization reads one record (width tau0,
+offsets j h and tau0), the state recovery one design (the delta-grid
+widths, offsets j h). An oracle that only answers scalars is read one
+sample at a time (_records), with the same answers.
 """
 
 from dataclasses import dataclass
@@ -34,17 +41,25 @@ import numpy as np
 from .core import TYPE_I, FourTuple, validate
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
-from .matfun import DEFAULT_TOL, Tolerances, expm, phi1, principal_logm, rank_of
+from .matfun import DEFAULT_TOL, Tolerances, expm, principal_logm, rank_of
 from .realization import is_canonical, krylov
+from .simulate import _generators, _start
 
 
 @dataclass(frozen=True)
 class PulseOracle:
-    """respond(tau, t) is y(t) under the input alpha*[0 <= t < tau]."""
+    """respond(tau, t) is y(t) under the input alpha*[0 <= t < tau].
+
+    records, when given, answers a whole design of experiments at once:
+    records(widths, offsets)[j, k] = y(widths[k] + offsets[j]) under the
+    pulse of width widths[k], the output record of each pulse sampled at
+    the same offsets after it ends. An oracle without it is read one
+    respond(w, w + s) at a time; the answers must be the same."""
 
     respond: Callable[[float, float], float]
     alpha: float
     kind: str
+    records: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -70,40 +85,41 @@ class IdentifyConfig:
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     """Exact in-process oracle for a known system (the test-harness black
-    box). Caches end-of-pulse states and free-response propagators."""
+    box). A design of widths x offsets takes two stacked expm calls: the
+    pulse-end states x(w) from the generator of the pulse level (the
+    augmented block on [x; 1] for kind I, as simulate steps it), and the
+    coast rows c e^{A s}; the records are their products. respond(tau, t)
+    is the one-experiment design [min(t, tau)] x [t - min(t, tau)]: a time
+    under the pulse is the end of a pulse of that width."""
     validate(t)
     if alpha == 0:
         raise ValueError("pulse amplitude must be nonzero")
-    A, b, c = t.A, t.b, t.c
-    G = t.A + alpha * t.N
-    x_end: dict = {}
-    coast: dict = {}
+    gen = _generators(t, [alpha])
+    z0 = _start(t)
 
-    def state_at_end(tau: float):
-        x = x_end.get(tau)
-        if x is None:
-            if t.kind == TYPE_I:
-                x = phi1(G, tau) @ (alpha * b)
-            else:
-                x = expm(G * tau) @ b
-            x_end[tau] = x
-        return x
+    def records(widths, offsets):
+        w = np.asarray(widths, dtype=float)
+        s = np.asarray(offsets, dtype=float)
+        if np.any(w < 0) or np.any(s < 0):
+            raise ValueError("widths and offsets must be nonnegative")
+        X = (expm(w[:, None, None] * gen) @ z0)[:, :t.n]
+        return (t.c @ expm(s[:, None, None] * t.A)) @ X.T
 
     def respond(tau: float, time: float) -> float:
-        if tau < 0 or time < 0:
-            raise ValueError("tau and t must be nonnegative")
-        if time <= tau:
-            x = state_at_end(time)  # under the pulse: a pulse of width time
-        else:
-            s = time - tau
-            E = coast.get(s)
-            if E is None:
-                E = expm(A * s)
-                coast[s] = E
-            x = E @ state_at_end(tau)
-        return float(c @ x)
+        w = min(time, tau)
+        return float(records([w], [time - w])[0, 0])
 
-    return PulseOracle(respond, float(alpha), t.kind)
+    return PulseOracle(respond, float(alpha), t.kind, records)
+
+
+def _records(oracle: PulseOracle, widths, offsets):
+    """Y[j, k] = y(widths[k] + offsets[j]) under the pulse of width
+    widths[k]: one records call, or one respond per sample for an oracle
+    that answers only scalars."""
+    if oracle.records is not None:
+        return np.asarray(oracle.records(widths, offsets), dtype=float)
+    return np.array([[oracle.respond(w, w + s) for w in widths]
+                     for s in offsets], dtype=float)
 
 
 def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
@@ -120,9 +136,10 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     Aliased. Returns (A, x(tau0), c, singular_values), all in the identified
     basis.
     """
-    ys = np.array([oracle.respond(tau0, tau0 + j * h) for j in range(2 * m)])
-    H0 = np.array([[ys[i + j] for j in range(m)] for i in range(m)])
-    H1 = np.array([[ys[i + j + 1] for j in range(m)] for i in range(m)])
+    Y = _records(oracle, [tau0], np.append(h * np.arange(2 * m), tau0))[:, 0]
+    ys, y_off = Y[:-1], Y[-1]
+    hankel = np.add.outer(np.arange(m), np.arange(m))
+    H0, H1 = ys[hankel], ys[hankel + 1]
     U, s, Vh = np.linalg.svd(H0)
     if s[0] <= 1e-300:
         raise OrderAmbiguous("response is identically zero")
@@ -139,7 +156,7 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     F_d = np.linalg.pinv(Obs) @ H1 @ np.linalg.pinv(Ctr)
     A = principal_logm(F_d) / h
     x0, c = Ctr[:, 0], Obs[0, :]
-    miss = abs(c @ expm(tau0 * A) @ x0 - oracle.respond(tau0, 2 * tau0))
+    miss = abs(c @ expm(tau0 * A) @ x0 - y_off)
     miss /= float(np.max(np.abs(ys)))
     if miss > 1e-5:
         raise Aliased(f"the coast misses y(2 tau0) off the h-grid by {miss:.3e}")
@@ -153,17 +170,12 @@ def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
     Returns (states, residuals)."""
     A = np.asarray(A, dtype=float)
     c = np.ravel(np.asarray(c, dtype=float))
-    n = A.shape[0]
-    E = expm(A * h)
-    rows = [c]
-    for _ in range(m - 1):
-        rows.append(rows[-1] @ E)
-    Gam = np.array(rows)
-    if rank_of(Gam, tol) < n:
+    offsets = h * np.arange(m)
+    Gam = c @ expm(offsets[:, None, None] * A)
+    if rank_of(Gam, tol) < A.shape[0]:
         raise UnobservablePair("(A, c) is not observable at rank_tol")
     # one column of samples per width, one least-squares solve for all
-    Y = np.array([[oracle.respond(tau, tau + j * h) for j in range(m)]
-                  for tau in tau_grid]).T
+    Y = _records(oracle, tau_grid, offsets)
     X, res, *_ = np.linalg.lstsq(Gam, Y, rcond=None)
     return X.T, (res if res.size else np.zeros(Y.shape[1]))
 

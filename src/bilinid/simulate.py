@@ -41,6 +41,12 @@ def _generators(t: FourTuple, levels):
     return G
 
 
+def _start(t: FourTuple):
+    """The state at time 0, in the form the generators act on: [0; 1] for
+    kind I and b for kind II."""
+    return np.eye(t.n + 1)[-1] if t.kind == TYPE_I else t.b
+
+
 def _finite(X):
     if not np.all(np.isfinite(X)):
         raise Overflow("state exceeds the representable range")
@@ -85,8 +91,7 @@ def simulate(t: FourTuple, u: PiecewiseConstantInput, grid,
              with_states: bool = False) -> Trajectory:
     """Outputs y(t) = c x(t) at the grid points, exact per interval."""
     validate(t)
-    x0 = np.zeros(t.n) if t.kind == TYPE_I else t.b
-    return _march(t, u, grid, x0, 0.0, with_states)
+    return _march(t, u, grid, _start(t)[:t.n], 0.0, with_states)
 
 
 def respond_pulse(t: FourTuple, tau: float, alpha: float, beta: float, grid,
@@ -114,7 +119,7 @@ def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
     P[0] = P[0].T
     m = P.shape[-1]
     W = np.empty((len(P), points, m))
-    W[0, 0] = np.eye(m)[-1] if t.kind == TYPE_I else t.b
+    W[0, 0] = _start(t)
     W[1:, 0] = np.pad(t.c, (0, m - t.n))
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):

@@ -188,11 +188,19 @@ class TestJson:
         assert pair2.input_class.tau == 1.0
         assert pair_to_json(pair2) == s
 
-    def test_pair_input_class_requires_a_kind(self):
+    @pytest.mark.parametrize("part, key, value", [
+        ("input_class", "kind", None), ("input_class", "kind", 5),
+        (None, "distinguishing_word", [1, 2])],
+        ids=["no-kind", "numeric-kind", "list-word"])
+    def test_pair_input_class_requires_a_kind(self, part, key, value):
         doc = json.loads(pair_to_json(CounterexamplePair(
             sigma=_t(), sigma_hat=_t(), input_class=InputClass("constants"),
             agreement_residual=0.0, distinguishing_word="A")))
-        del doc["input_class"]["kind"]
+        where = doc if part is None else doc[part]
+        if value is None:
+            del where[key]
+        else:
+            where[key] = value
         with pytest.raises(ParseError):
             pair_from_json(json.dumps(doc))
 

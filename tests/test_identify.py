@@ -33,6 +33,17 @@ class TestOracle:
             via_sim = respond_pulse(t, tau, 0.8, 0.0, [max(time, 1e-12)])
             assert direct == pytest.approx(float(via_sim.outputs[0]),
                                            abs=1e-11)
+        # the same widths and times as one design, tau = 0 included
+        widths, offsets = np.array([1.0, 0.0, 0.4]), np.array([0.0, 1.3, 1.7])
+        Y = oracle.records(widths, offsets)
+        assert Y.shape == (3, 3)
+        for (j, k), y in np.ndenumerate(Y):
+            time = widths[k] + offsets[j]
+            via_sim = respond_pulse(t, widths[k], 0.8, 0.0,
+                                    [max(time, 1e-12)])
+            assert y == pytest.approx(float(via_sim.outputs[0]), abs=1e-11)
+            assert y == pytest.approx(oracle.respond(widths[k], time),
+                                      abs=1e-11)
 
     def test_rejects_zero_amplitude(self):
         with pytest.raises(ValueError):
@@ -44,6 +55,10 @@ class TestOracle:
             oracle.respond(-1.0, 0.5)
         with pytest.raises(ValueError):
             oracle.respond(1.0, -0.5)
+        with pytest.raises(ValueError):
+            oracle.records([1.0, -1.0], [0.0, 0.5])
+        with pytest.raises(ValueError):
+            oracle.records([1.0, 2.0], [0.5, -0.5])
 
 
 class TestRealizeFreeResponse:
@@ -215,6 +230,14 @@ class TestIdentify:
         assert res.n_identified == 2
         m, K = 5, 10
         assert len(calls) <= 2 * m + 1 + (K + 1) * m == 66
+        # read one sample at a time or as whole records, the same tuple
+        batched = identify(oracle_from_tuple(truth, 1.0),
+                           IdentifyConfig(n_max=4),
+                           rng=np.random.default_rng(0))
+        for name in "ANbc":
+            np.testing.assert_allclose(getattr(res.tuple, name),
+                                       getattr(batched.tuple, name),
+                                       rtol=1e-9, atol=1e-9)
 
     def test_states_short_of_the_order_are_not_canonical(self):
         # (A, b) is reachable, so the coast has order 2, but b is an
