@@ -10,8 +10,17 @@ flow is exact. For kind I the affine step is the top block of
 x -> expm(h (A + vN)) x. The march visits every requested grid point and
 every input breakpoint between them. Each step is a (level, length) pair;
 the distinct pairs are exponentiated in one call on a stack of generators,
-so the march itself only multiplies. Outputs are reported only at the
-requested points.
+so the march itself only multiplies, and not one step at a time: the steps
+fall into blocks of 16, doubling forms every prefix product of each block
+in four batched products, one matvec per block carries the state to the
+next, and one batched product reads every state. No product spans more
+than one block, so a mode the state never excites overflows only if its
+16-step power does. Outputs are reported only at the requested points.
+
+The fixed-rate sampled recursion (SampledSystem, sample_discrete) stays a
+step-by-step recursion built from its own maps, F(u) = expm((A + uN) tau)
+and g(u) = phi1(A + uN, tau) b, and shares no code with the march or the
+power table: comparing the two checks one construction against another.
 
 Pulses of one amplitude on a uniform grid need no march at all: every such
 output is a power of two one-step maps, read from one table (_power_table,
@@ -27,6 +36,8 @@ from .core import (TYPE_I, FourTuple, PiecewiseConstantInput, Trajectory,
                    pulse_input, validate)
 from .errors import GridOutOfRange, Overflow
 from .matfun import expm, phi1
+
+_BLOCK = 16  # steps per block of prefix products in _march
 
 
 def _generators(t: FourTuple, levels):
@@ -79,10 +90,25 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     xa = np.array(x0, dtype=float)
     if t.kind == TYPE_I:
         xa = np.append(xa, 1.0)
-    X = np.empty((events.size, xa.size))
+    m = xa.size
+    # the steps in blocks of _BLOCK, padded with identities; doubling turns
+    # each block into its prefix products, P[b, i] = step i of b ... step 0
+    # of b, and the state entering block b carries over from block b - 1
+    K = which.size
+    P = np.empty((-(-K // _BLOCK) * _BLOCK, m, m))
+    P[:K] = Phi[which]
+    P[K:] = np.eye(m)
+    P = P.reshape(-1, _BLOCK, m, m)
+    S = np.empty((len(P), m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, j in enumerate(which.tolist()):
-            X[k] = xa = Phi[j] @ xa
+        p = 1
+        while p < _BLOCK:
+            P[:, p:] = P[:, p:] @ P[:, :-p]
+            p *= 2
+        for b, last in enumerate(P[:, -1]):
+            S[b] = xa
+            xa = last @ xa
+        X = (P.reshape(len(P), -1, m) @ S[:, :, None]).reshape(-1, m)[:K]
     states = _finite(X)[wanted, :t.n]
     return Trajectory(grid, states @ t.c, states if with_states else None)
 
@@ -156,29 +182,31 @@ class SampledSystem:
             raise ValueError("tau must be positive")
         self.t = t
         self.tau = float(tau)
-        self._F = {}
-        self._g = {}
 
     def F_of_level(self, u: float):
-        u = float(u)
-        if u not in self._F:
-            self._F[u] = expm((self.t.A + u * self.t.N) * self.tau)
-        return self._F[u]
+        return expm((self.t.A + u * self.t.N) * self.tau)
 
     def g_of_level(self, u: float):
-        u = float(u)
-        if u not in self._g:
-            self._g[u] = phi1(self.t.A + u * self.t.N, self.tau) @ self.t.b
-        return self._g[u]
+        return phi1(self.t.A + u * self.t.N, self.tau) @ self.t.b
 
 
 def sample_discrete(t: FourTuple, tau: float, u_seq):
     """Run the sampled recursion from x_0 = 0; returns [(x_k, y_k)] for
-    k = 0 .. len(u_seq)."""
+    k = 0 .. len(u_seq). Each distinct level u gets one homogeneous map
+    [[F(u), u g(u)], [0, 1]] on [x; 1], and the recursion applies them in
+    turn."""
     sys = SampledSystem(t, tau)
-    x = np.zeros(t.n)
-    out = [(x.copy(), float(t.c @ x))]
-    for u in u_seq:
-        x = sys.F_of_level(u) @ x + float(u) * sys.g_of_level(u)
-        out.append((x.copy(), float(t.c @ x)))
-    return out
+    levels, which = np.unique(np.asarray(u_seq, dtype=float),
+                              return_inverse=True)
+    n = t.n
+    maps = []
+    for u in levels.tolist():
+        M = np.eye(n + 1)
+        M[:n, :n] = sys.F_of_level(u)
+        M[:n, n] = u * sys.g_of_level(u)
+        maps.append(M)
+    X = np.empty((which.size + 1, n + 1))
+    X[0] = x = np.eye(n + 1)[n]
+    for k, j in enumerate(which.tolist(), 1):
+        X[k] = x = maps[j] @ x
+    return list(zip(X[:, :n], (X[:, :n] @ t.c).tolist()))

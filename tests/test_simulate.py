@@ -106,6 +106,34 @@ class TestSimulate:
         ref = simulate_rk4(t, u, grid)
         assert np.allclose(ours, ref, atol=1e-9, rtol=1e-9)
 
+    @pytest.mark.parametrize("events", [1, 15, 16, 17, 33, 300])
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_block_seams_match_a_step_by_step_loop(self, events, kind):
+        # the march takes prefix products in blocks of 16 steps; counts on
+        # either side of a seam, and many seams, must match one matvec per
+        # event from expm of generators built here. States are judged on
+        # their own row's scale, outputs on the scale of c x
+        t = _random_system(51, kind)
+        h = 0.125  # exact in binary, so every step has this length
+        levels = np.random.default_rng(52).choice([-1.0, 0.5, 1.0], events)
+        u = PiecewiseConstantInput(h * np.arange(events), levels,
+                                   h * events + 1.0)
+        tr = simulate(t, u, h * np.arange(1, events + 1), with_states=True)
+        x = np.eye(t.n + 1)[-1] if kind == "I" else t.b
+        X = []
+        for v in levels:
+            G = t.A + v * t.N
+            if kind == "I":
+                G = np.block([[G, v * t.b[:, None]], [np.zeros((1, t.n + 1))]])
+            x = scipy.linalg.expm(h * G) @ x
+            X.append(x[:t.n])
+        X = np.array(X)
+        assert tr.states.shape == X.shape
+        scale = np.max(np.abs(X), axis=-1, keepdims=True)
+        assert np.all(np.abs(tr.states - X) <= 1e-12 * scale)
+        assert np.all(np.abs(tr.outputs - X @ t.c)
+                      <= 1e-12 * (np.abs(X) @ np.abs(t.c)))
+
     def test_overflowing_step_raises(self):
         t = FourTuple([[800.0]], [[0.0]], [1.0], [1.0])
         with pytest.raises(Overflow):
@@ -118,6 +146,21 @@ class TestSimulate:
         t = FourTuple([[200.0]], [[0.0]], [1.0], [1.0], kind)
         with pytest.raises(Overflow):
             respond_pulse(t, 0.0, 1.0, 1.0, np.linspace(0.0, 5.0, 50))
+
+    @pytest.mark.parametrize("rate", [20.0, 50.0])
+    def test_unexcited_fast_mode_overflows_only_past_a_block(self, rate):
+        # the start state never excites the e^{rate} mode. A block's
+        # prefix products reach its 16th power: e^{320} is finite, and the
+        # outputs stay e^{-t}; e^{800} is not, so Overflow, never a wrong row
+        t = FourTuple([[-1.0, 0.0], [0.0, rate]], np.zeros((2, 2)),
+                      [1.0, 0.0], [1.0, 0.0], "II")
+        grid = np.arange(1.0, 502.0)
+        if rate == 50.0:
+            with pytest.raises(Overflow):
+                simulate(t, constant_input(0.0, 502.0), grid)
+        else:
+            y = simulate(t, constant_input(0.0, 502.0), grid).outputs
+            assert np.allclose(y, np.exp(-grid), rtol=1e-12, atol=0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -235,3 +278,35 @@ class TestSampled:
         for k in range(1, 6):
             assert np.allclose(tr.states[k - 1], samples[k][0], atol=1e-10)
             assert abs(tr.outputs[k - 1] - samples[k][1]) < 1e-10
+
+    def test_long_train_matches_simulation(self, monkeypatch):
+        # 100 levels cross several blocks of the march, and 0.0 and -0.0
+        # share one map of the recursion: three levels, three maps
+        asked = []
+
+        def counted(method):
+            def wrapper(self, u):
+                asked.append(method.__name__)
+                return method(self, u)
+            return wrapper
+
+        for name in ("F_of_level", "g_of_level"):
+            monkeypatch.setattr(SampledSystem, name,
+                                counted(getattr(SampledSystem, name)))
+        rng = np.random.default_rng(61)
+        t = _random_system(62, "I", scale=0.5)
+        tau = 0.375
+        levels = rng.choice([-1.0, -0.0, 0.0, 1.0], size=100)
+        samples = sample_discrete(t, tau, levels)
+        assert sorted(asked) == 3 * ["F_of_level"] + 3 * ["g_of_level"]
+        u = PiecewiseConstantInput(tau * np.arange(100), levels,
+                                   100 * tau + 1.0)
+        tr = simulate(t, u, tau * np.arange(1, 101), with_states=True)
+        assert len(samples) == 101
+        for x, y in samples:
+            assert isinstance(x, np.ndarray) and x.shape == (t.n,)
+            assert type(y) is float
+        X = np.array([x for x, _ in samples[1:]])
+        Y = np.array([y for _, y in samples[1:]])
+        assert np.allclose(X, tr.states, rtol=0.0, atol=1e-10)
+        assert np.allclose(Y, tr.outputs, rtol=0.0, atol=1e-10)
