@@ -35,6 +35,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Long options by their full names only, so that a removed option is
+    a usage error and not read as a prefix of another (identify --h would
+    be --help)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -72,18 +79,8 @@ def _load_tuple(path: str):
     return from_json(Path(path).read_text())
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.generic):
-        return v.item()
-    return v
-
-
 def _emit(payload, out):
-    text = payload if isinstance(payload, str) else _dumps(_jsonable(payload))
+    text = payload if isinstance(payload, str) else _dumps(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -151,8 +148,7 @@ def _build_parser() -> _Parser:
                    help="ground-truth system JSON file; the pulse oracle is "
                         "synthesized from it in process")
     s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--n-max", type=int, default=None)
-    s.add_argument("--h", type=float, default=None)
+    s.add_argument("--n-max", type=int, default=IdentifyConfig.n_max)
     s.add_argument("--rng-seed", type=int, default=0)
     _add_tol_and_out(s)
 
@@ -231,13 +227,8 @@ def _cmd_counterexample(args):
 def _cmd_identify(args):
     t = _load_tuple(args.system)
     tol = _tolerances(args.tol)
-    overrides = {}
-    if args.n_max is not None:
-        overrides["n_max"] = args.n_max
-    if args.h is not None:
-        overrides["h"] = args.h
-    cfg = dataclasses.replace(IdentifyConfig(), **overrides)
-    res = identify(oracle_from_tuple(t, args.alpha), cfg, tol,
+    res = identify(oracle_from_tuple(t, args.alpha),
+                   IdentifyConfig(n_max=args.n_max), tol,
                    seeded_rng(args.rng_seed, "identify"))
     _emit({"n": res.n_identified,
            "tuple": json.loads(to_json(res.tuple)),

@@ -8,6 +8,12 @@ A bilinear SISO system is the 4-tuple (A, N, b, c) plus a kind tag:
 The numeric payload is identical for both kinds; the tag only selects the
 interpretation. All values are immutable once constructed.
 
+A FourTuple is validated once, when it is built: __post_init__ runs
+validate, the dataclass is frozen and its arrays are read-only, and
+dataclasses.replace, with_kind and the JSON decoders all build through the
+constructor. So a FourTuple is always well formed, and the functions that
+take one trust it instead of checking it again.
+
 Matrices and vectors serialize as decimal strings (shortest round-trip
 representation) so JSON fixtures are bit-exact across platforms.
 seeded_rng(seed, label) gives each labelled use of one seed its own
@@ -275,7 +281,6 @@ def _loads(text: str):
 
 
 def to_json(t: FourTuple) -> str:
-    validate(t)
     doc = {
         "n": t.n,
         "kind": t.kind,
@@ -295,15 +300,13 @@ def tuple_from_dict(doc) -> FourTuple:
     kind = doc["kind"]
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}")
-    t = FourTuple(
+    return FourTuple(
         A=_dec_mat(doc["A"], "A", n),
         N=_dec_mat(doc["N"], "N", n),
         b=_dec_vec(doc["b"], "b", n),
         c=_dec_vec(doc["c"], "c", n),
         kind=kind,
     )
-    validate(t)
-    return t
 
 
 def from_json(text: str) -> FourTuple:

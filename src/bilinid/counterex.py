@@ -27,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
-                   PiecewiseConstantInput, constant_input, pulse_input,
-                   validate)
+                   PiecewiseConstantInput, constant_input, pulse_input)
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
@@ -52,7 +51,6 @@ def _linear_ranks(A, b, c, tol):
 def classify(t: FourTuple, alpha: float = 1.0,
              tol: Tolerances = DEFAULT_TOL) -> ClassMembership:
     """Membership flags for G0, C, M(alpha) and, when n = 2, B_alpha."""
-    validate(t)
     n = t.n
     A, N, b, c = t.A, t.N, t.b, t.c
     diag = {}
@@ -105,7 +103,6 @@ def _in_b_alpha(t, alpha, tol, diag):
 def in_b_alpha(t: FourTuple, alpha: float,
                tol: Tolerances = DEFAULT_TOL) -> bool:
     """Strict B_alpha predicate; defined for n = 2 only."""
-    validate(t)
     if t.n != 2:
         raise DimensionMismatch(f"B_alpha is defined for n=2, got n={t.n}")
     return _in_b_alpha(t, alpha, tol, {})
@@ -306,7 +303,7 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
 
 # -- fixed-rate sampling -------------------------------------------------------
 
-def _real_jordan_basis(G, tol):
+def _real_jordan_basis(G):
     """Basis P with P^{-1} G P = [[r, -s], [s, r]], s > 0, from the
     eigenvector v of the eigenvalue r + i s: P = [Re v, -Im v]. The sign of
     v is fixed by making the first nonzero component of Re v positive."""
@@ -339,7 +336,6 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     Writes A + alpha N in real Jordan form, shifts the rotation rate by
     2*pi*l/tau via M = N + (l/alpha) L0, L0 = [[0, -2pi/tau],[2pi/tau, 0]],
     and matches the drive with bhat = (A+alpha M)(A+alpha N)^{-1} b."""
-    validate(t)
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
     if tau <= 0 or alpha == 0:
@@ -348,7 +344,7 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
         raise NotInBalpha("system must lie in B_alpha")
 
     G = t.A + alpha * t.N
-    r, s, P = _real_jordan_basis(G, tol)
+    r, s, P = _real_jordan_basis(G)
     Pinv = np.linalg.inv(P)
     A_j, N_j = Pinv @ t.A @ P, Pinv @ t.N @ P
     b_j, c_j = Pinv @ t.b, t.c @ P

@@ -18,12 +18,14 @@ expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b,
 while kind II reads b = x(0). Then N = (G - A)/alpha. This is the
 realization step applied twice, and it is exact up to the accuracy of the
 matrix exponential and logarithm. Either logarithm needs its transition
-off the negative real axis, so h and delta are halved until it is. Both
-are also checked off their grids, where a rotation by more than pi per
-step, folded back by the principal branch, misses: h is halved until the
-realized coast predicts one extra sample y(2 tau0), tau0 after the pulse
-ends, and delta until the fitted flow reaches the state the realization
-gives at the off-grid width tau0.
+off the negative real axis, so the coast step h (which starts at the
+constant H) and delta are halved until it is. Both are also checked off
+their grids, where a rotation by more than pi per step, folded back by
+the principal branch, misses: h is halved until the realized coast
+predicts one extra sample y(2 tau0), tau0 after the pulse ends, and delta
+until the fitted flow reaches the state the realization gives at the
+off-grid width tau0. Both misses are judged relative to the scale of the
+samples they fit, whatever the output scale.
 
 The oracle is read in whole experiments: a design of pulse widths and
 offsets after the pulse end gives the record Y[j, k] = y(w_k + s_j) under
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TYPE_I, FourTuple, validate
+from .core import TYPE_I, FourTuple
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
 from .matfun import DEFAULT_TOL, Tolerances, expm, principal_logm, rank_of
@@ -69,8 +71,10 @@ class IdentificationResult:
     diagnostics: dict
 
 
-# The delta-grid spans TAU_SPAN; tau0 is drawn from [TAU0_LOW, TAU0_HIGH).
+# The delta-grid spans TAU_SPAN; tau0 is drawn from [TAU0_LOW, TAU0_HIGH);
+# the coast step starts at H and is halved from there.
 TAU_SPAN = 2.0
+H = 0.2
 TAU0_LOW = 0.5
 TAU0_HIGH = 1.5
 MAX_TAU0_DRAWS = 8
@@ -79,8 +83,10 @@ MAX_H_HALVINGS = 6  # bounds the h and, apart, the delta halvings
 
 @dataclass(frozen=True)
 class IdentifyConfig:
+    """n_max bounds the identified order; the Hankel matrix is
+    (n_max + 1) square. The coast step is not a setting: it starts at H."""
+
     n_max: int = 8
-    h: float = 0.2
 
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
@@ -91,7 +97,6 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     coast rows c e^{A s}; the records are their products. respond(tau, t)
     is the one-experiment design [min(t, tau)] x [t - min(t, tau)]: a time
     under the pulse is the end of a pulse of that width."""
-    validate(t)
     if alpha == 0:
         raise ValueError("pulse amplitude must be nonzero")
     gen = _generators(t, [alpha])
@@ -126,10 +131,14 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
                           tol: Tolerances = DEFAULT_TOL):
     """Linear realization of the post-pulse coast for pulse width tau0.
 
-    Samples y(tau0 + j h) for j = 0..2m-1, forms the m x m Hankel, truncates
-    its SVD at rank_tol to fix the order n, factors it into observability and
-    state parts, and lifts the discrete transition to continuous time through
-    the principal logarithm. One more sample, y(2 tau0), lies off the h-grid
+    Samples y(tau0 + j h) for j = 0..2m-1, forms the m x m Hankel H0 and its
+    shift H1, and truncates the SVD H0 = U diag(s) V' at rank_tol to fix the
+    order n. With r = sqrt(s_1..s_n) the observability and state parts are
+    U_n diag(r) and diag(r) V_n', whose pseudo-inverses the same SVD gives,
+    so the discrete transition is the Ho-Kalman shift formula
+    F_d = (U_n' H1 V_n) / (r r'); the principal logarithm lifts it to
+    continuous time, and x(tau0) and c are the first column and row of the
+    two parts. One more sample, y(2 tau0), lies off the h-grid
     (tau0 is random) and must match c e^{A tau0} x(tau0) to 1e-5 on the scale
     of the Hankel samples: a rotation by more than pi per h fits every grid
     sample but comes back folded into (-pi, pi), which this exposes as
@@ -151,16 +160,15 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
             f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}"
         )
     root = np.sqrt(s[:n])
-    Obs = U[:, :n] * root
-    Ctr = root[:, None] * Vh[:n, :]
-    F_d = np.linalg.pinv(Obs) @ H1 @ np.linalg.pinv(Ctr)
+    Un, Vn = U[:, :n], Vh[:n, :].T
+    F_d = (Un.T @ H1 @ Vn) / np.outer(root, root)
     A = principal_logm(F_d) / h
-    x0, c = Ctr[:, 0], Obs[0, :]
+    x0, c = root * Vn[0], Un[0] * root
     miss = abs(c @ expm(tau0 * A) @ x0 - y_off)
     miss /= float(np.max(np.abs(ys)))
     if miss > 1e-5:
         raise Aliased(f"the coast misses y(2 tau0) off the h-grid by {miss:.3e}")
-    return A, x0.copy(), c.copy(), s
+    return A, x0, c, s
 
 
 def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
@@ -191,7 +199,7 @@ def _halving(step: float, halvings: int, attempt):
     return attempt(step)
 
 
-def _realize_with_retries(oracle, m, rng, cfg, tol):
+def _realize_with_retries(oracle, m, rng, tol):
     def at(h):
         for draw in range(MAX_TAU0_DRAWS):
             tau0 = float(rng.uniform(TAU0_LOW, TAU0_HIGH))
@@ -201,7 +209,7 @@ def _realize_with_retries(oracle, m, rng, cfg, tol):
                 if draw + 1 == MAX_TAU0_DRAWS:
                     raise
 
-    return _halving(cfg.h, MAX_H_HALVINGS, at)
+    return _halving(H, MAX_H_HALVINGS, at)
 
 
 def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
@@ -224,7 +232,7 @@ def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
                       f"dimensions, the state at tau0 one more")
     # rows: x(tau_{k+1})' = [x(tau_k); 1]' F'
     Ft, *_ = np.linalg.lstsq(Z0, X1, rcond=None)
-    scale = max(1.0, float(np.linalg.norm(X1)))
+    scale = float(np.linalg.norm(X1))
     fit = float(np.linalg.norm(Z0 @ Ft - X1)) / scale
     if fit > 1e-5:
         raise PoorFit(f"width-transition regression residual {fit:.3e}")
@@ -252,7 +260,7 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     alpha = oracle.alpha
     m = cfg.n_max + 1
 
-    A, x_tau0, c, svals, tau0, h_used = _realize_with_retries(oracle, m, rng, cfg, tol)
+    A, x_tau0, c, svals, tau0, h_used = _realize_with_retries(oracle, m, rng, tol)
     n = A.shape[0]
 
     K = 2 * cfg.n_max + 2

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .core import FourTuple, SimilarityWitness, validate
+from .core import FourTuple, SimilarityWitness
 from .errors import NotCanonical, NotCanonicalTriple, NotSimilar, ZeroS
 from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
 
@@ -62,7 +62,6 @@ def word_at(length: int, index: int) -> str:
 
 
 def series_coefficient(t: FourTuple, word: str) -> float:
-    validate(t)
     if any(ch not in "AN" for ch in word):
         raise ValueError(f"word must be over alphabet A/N, got {word!r}")
     v = t.b
@@ -136,7 +135,6 @@ def _balanced(t: FourTuple):
 
 def reach_obs(t: FourTuple):
     """R = [b, Ab, ..., A^{n-1} b]; O has rows c, cA, ..., cA^{n-1}."""
-    validate(t)
     R = krylov(t.A, t.b)
     O = krylov(t.A.T, t.c).T
     return R, O
@@ -157,7 +155,6 @@ def extended_reach(t: FourTuple):
     block per length. Block k has the span and the singular values of the
     products of length k of (A, N, b) / ||[A, N]||^k ||b||, in at most 4n
     columns (8n for the last)."""
-    validate(t)
     return _span(t.A, t.N, t.b, t.n - 1).T
 
 
@@ -165,7 +162,6 @@ def extended_obs(t: FourTuple):
     """The span of the rows c A_w over words of length <= n-1: the word
     layers of (A', N', c) as row blocks, one block per length, weighted
     as in extended_reach."""
-    validate(t)
     return _span(t.A.T, t.N.T, t.c, t.n - 1)
 
 

@@ -33,7 +33,7 @@ giving outputs.
 import numpy as np
 
 from .core import (TYPE_I, FourTuple, PiecewiseConstantInput, Trajectory,
-                   pulse_input, validate)
+                   pulse_input)
 from .errors import GridOutOfRange, Overflow
 from .matfun import expm, phi1
 
@@ -116,7 +116,6 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
 def simulate(t: FourTuple, u: PiecewiseConstantInput, grid,
              with_states: bool = False) -> Trajectory:
     """Outputs y(t) = c x(t) at the grid points, exact per interval."""
-    validate(t)
     return _march(t, u, grid, _start(t)[:t.n], 0.0, with_states)
 
 
@@ -175,7 +174,6 @@ class SampledSystem:
     g(u) = phi1(A+uN, tau) b."""
 
     def __init__(self, t: FourTuple, tau: float):
-        validate(t)
         if t.kind != TYPE_I:
             raise ValueError("sampled recursion applies to kind-I systems")
         if not tau > 0:

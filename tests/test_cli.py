@@ -240,6 +240,14 @@ class TestIdentify:
                                                                abs=1e-6)
         assert "fit_residual" in doc["diagnostics"]
 
+    def test_coast_step_is_not_an_option(self, capsys, scalar_file):
+        # nor is --h read as an abbreviation of --help
+        code, out, err = _run(capsys, "identify", "--system", scalar_file,
+                              "--h", "0.1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --h" in err
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):

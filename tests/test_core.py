@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,11 +20,21 @@ def _t(kind="I"):
 
 class TestFourTuple:
     def test_fields_are_frozen_float_arrays(self):
+        # functions taking a FourTuple do not validate it again: every way
+        # to change one must either fail or build through the constructor
         t = _t()
         assert t.n == 2
         assert t.A.dtype == float
-        with pytest.raises(ValueError):
-            t.A[0, 0] = 5.0
+        for arr in (t.A, t.N, t.b, t.c):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.b = np.array([np.nan, 0.0])
+        with pytest.raises(NonFiniteEntry):
+            dataclasses.replace(t, b=[np.nan, 0.0])
+        with pytest.raises(ShapeMismatch):
+            t.with_kind("III")
 
     def test_accepts_lists_and_integer_entries(self):
         t = FourTuple([[0, 1], [0, 0]], [[1, 0], [0, 0]], [0, 1], [1, 0])

@@ -6,16 +6,24 @@ from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
                      Tolerances, identify, io_equivalent, is_canonical,
                      oracle_from_tuple, realize_free_response, recover_states,
                      respond_pulse, sample_in_M, similarity_between)
-from bilinid.errors import (NotCanonicalResult, OrderAmbiguous, PoorFit,
-                            UnobservablePair)
+from bilinid.errors import (BilinError, NotCanonicalResult, OrderAmbiguous,
+                            PoorFit, UnobservablePair)
 
 LOOSE = Tolerances(rank_tol=1e-10, residual_tol=1e-5, agree_tol=1e-7)
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
 
 
-def _identify(truth, alpha=1.0, seed=0, **cfg):
-    config = IdentifyConfig(n_max=4, **cfg)
-    return identify(oracle_from_tuple(truth, alpha), config,
+def _fast_rotation(turns, kind, scale=1.0):
+    """A + N turns by `turns` pi per delta = 0.2; b and c times scale."""
+    A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+    w = turns * np.pi / 0.2
+    G = np.array([[0.0, -w], [w, 0.0]])
+    return FourTuple(A, G - A, scale * np.array([1.0, 0.5]),
+                     scale * np.array([1.0, -0.7]), kind)
+
+
+def _identify(truth, alpha=1.0, seed=0):
+    return identify(oracle_from_tuple(truth, alpha), IdentifyConfig(n_max=4),
                     rng=np.random.default_rng(seed))
 
 
@@ -184,13 +192,34 @@ class TestIdentify:
         # delta} = -I lies on the cut; at 1.5 pi the principal logarithm
         # folds the turn back to -pi/2; at 2 pi every grid state is b. The
         # state at the off-grid tau0 exposes the last two.
-        A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
-        w = turns * np.pi / 0.2
-        G = np.array([[0.0, -w], [w, 0.0]])
-        truth = FourTuple(A, G - A, [1.0, 0.5], [1.0, -0.7], kind)
+        truth = _fast_rotation(turns, kind)
         res = _identify(truth)
         assert res.n_identified == 2
         assert res.diagnostics["delta"] == pytest.approx(delta)
+        eq, _ = io_equivalent(res.tuple, truth, LOOSE)
+        assert eq
+
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e-6])
+    def test_output_scale_does_not_change_the_result(self, kind, scale):
+        # b and c times `scale` scale every output by scale^2 and every
+        # state by scale; the 1.5 pi turn must still halve delta
+        truth = _fast_rotation(1.5, kind, scale)
+        res = _identify(truth)
+        assert res.n_identified == 2
+        assert res.diagnostics["delta"] == pytest.approx(0.1)
+        eq, _ = io_equivalent(res.tuple, truth, LOOSE)
+        assert eq
+
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    def test_tiny_output_scale_is_right_or_raises(self, kind):
+        # kind I's constant regressor column swamps states of 1e-9, which
+        # may raise, but no result may be silently wrong
+        truth = _fast_rotation(1.5, kind, 1e-9)
+        try:
+            res = _identify(truth)
+        except BilinError:
+            return
         eq, _ = io_equivalent(res.tuple, truth, LOOSE)
         assert eq
 
