@@ -159,7 +159,8 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
 
     The seed (Q, N, b0, c) must lie in class C. The construction follows
     the unit-pulse normalization: sigma = psi(seed); the partner replaces N
-    by the twin M taken at (Q, b1, c) with b1 = rho(Q) b; both are then
+    by the twin M taken at (Q, b0, c) (rho(Q) sigma.b = det(rho(Q)) b0, and
+    the twin does not change when b is scaled); both are then
     rescaled to (tau, alpha). One power table of the difference system at
     delta = tau/100 gives both certificates: the agreement residual, the
     largest output gap under the class pulse at the 501 points j delta of
@@ -172,7 +173,7 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     Q, N, b0, c = seed.A, seed.N, seed.b, seed.c
 
     sigma = psi(Q, N, b0, c, TYPE_I)
-    M = _twin(Q, N, phi1(Q, 1.0) @ sigma.b, c, tol)
+    M = _twin(Q, N, b0, c, tol)
     sigma_hat = FourTuple(Q - M, M, sigma.b, c, TYPE_I)
 
     sigma = rescale(sigma, tau, alpha)

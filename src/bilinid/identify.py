@@ -43,7 +43,7 @@ import numpy as np
 from .core import TYPE_I, FourTuple
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
-from .matfun import DEFAULT_TOL, Tolerances, expm, principal_logm, rank_of
+from .matfun import DEFAULT_TOL, Tolerances, _logm_flows, expm, rank_of
 from .realization import is_canonical, krylov
 from .simulate import _generators, _start
 
@@ -91,15 +91,19 @@ class IdentifyConfig:
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     """Exact in-process oracle for a known system (the test-harness black
-    box). A design of widths x offsets takes two stacked expm calls: the
+    box). A design of widths x offsets takes one stacked expm call: the
     pulse-end states x(w) from the generator of the pulse level (the
     augmented block on [x; 1] for kind I, as simulate steps it), and the
-    coast rows c e^{A s}; the records are their products. respond(tau, t)
-    is the one-experiment design [min(t, tau)] x [t - min(t, tau)]: a time
-    under the pulse is the end of a pulse of that width."""
+    coast rows c e^{A s} from A, padded with a zero row and column to the
+    generator's size for kind I; the records are their products.
+    respond(tau, t) is the one-experiment design [min(t, tau)] x
+    [t - min(t, tau)]: a time under the pulse is the end of a pulse of
+    that width."""
     if alpha == 0:
         raise ValueError("pulse amplitude must be nonzero")
-    gen = _generators(t, [alpha])
+    gen = _generators(t, [alpha])[0]
+    coast = np.zeros_like(gen)
+    coast[:t.n, :t.n] = t.A
     z0 = _start(t)
 
     def records(widths, offsets):
@@ -107,8 +111,10 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
         s = np.asarray(offsets, dtype=float)
         if np.any(w < 0) or np.any(s < 0):
             raise ValueError("widths and offsets must be nonnegative")
-        X = (expm(w[:, None, None] * gen) @ z0)[:, :t.n]
-        return (t.c @ expm(s[:, None, None] * t.A)) @ X.T
+        E = expm(np.concatenate([w[:, None, None] * gen,
+                                 s[:, None, None] * coast]))
+        X = (E[:w.size] @ z0)[:, :t.n]
+        return (t.c @ E[w.size:, :t.n, :t.n]) @ X.T
 
     def respond(tau: float, time: float) -> float:
         w = min(time, tau)
@@ -162,9 +168,10 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     root = np.sqrt(s[:n])
     Un, Vn = U[:, :n], Vh[:n, :].T
     F_d = (Un.T @ H1 @ Vn) / np.outer(root, root)
-    A = principal_logm(F_d) / h
+    L, (flow,) = _logm_flows(F_d, [tau0 / h])
+    A = L / h
     x0, c = root * Vn[0], Un[0] * root
-    miss = abs(c @ expm(tau0 * A) @ x0 - y_off)
+    miss = abs(c @ flow @ x0 - y_off)
     miss /= float(np.max(np.abs(ys)))
     if miss > 1e-5:
         raise Aliased(f"the coast misses y(2 tau0) off the h-grid by {miss:.3e}")
@@ -239,10 +246,11 @@ def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
     F = Ft.T
     if oracle.kind == TYPE_I:
         F = np.vstack([F, np.eye(1, d, d - 1)])
-    L = principal_logm(F) / delta
+    L, (flow,) = _logm_flows(F, [tau0 / delta])
+    L = L / delta
     # a rotation by more than pi per delta fits the grid exactly but comes
     # back folded into (-pi, pi); between grid points the flow then misses
-    reached = (expm(tau0 * L) @ Z[0])[:X.shape[1]]
+    reached = (flow @ Z[0])[:X.shape[1]]
     miss = float(np.linalg.norm(reached - x_tau0)) / scale
     if miss > 1e-5:
         raise Aliased(f"the fitted flow misses the state at tau0 by {miss:.3e}")

@@ -1,8 +1,13 @@
 """Dense matrix functions: exponential, the kernel phi1(Q,t) = int_0^t e^{sQ} ds,
 pseudoinverse with rank, eigenvalues, and the principal matrix logarithm.
 
-expm uses Pade scaling-and-squaring (scipy). phi1 always goes through the
-augmented block exponential
+expm is batched numpy scaling and squaring with a Pade approximant (Al-Mohy
+and Higham, 2009, the algorithm behind scipy.linalg.expm). It exponentiates
+one matrix or each matrix of a stack: the degree m in {3, 5, 7, 9, 13}
+comes from d_k = ||M^k||_1^{1/k} of the even powers, one degree for the
+whole stack, and each matrix gets its own power-of-two scaling, so a small
+matrix in a stack is never squared because a large one is. phi1 always goes
+through the augmented block exponential
 
     expm(t * [[Q, I], [0, 0]]) = [[e^{tQ}, int_0^t e^{sQ} ds], [0, I]]
 
@@ -14,13 +19,14 @@ log M = V diag(log lam) V^{-1} (Higham, Functions of Matrices, 2008, 11).
 That loses about log10 cond(V) digits, so when cond(V) exceeds
 _EIG_COND_MAX (defective or nearly defective M, e.g. a Jordan block) it
 falls back to scipy's inverse scaling-and-squaring logm (Al-Mohy and
-Higham, 2012), which is slower but needs no eigenvector basis.
+Higham, 2012), which is slower but needs no eigenvector basis. That rare
+fallback is the only place scipy is imported, so importing this package
+does not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, Overflow, SpectrumOnCut
 
@@ -45,25 +51,100 @@ DEFAULT_TOL = Tolerances()
 _EIG_COND_MAX = 1e4
 
 
-def expm(M):
-    M = np.asarray(M, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(E)):
-        raise Overflow("matrix exponential exceeds the representable range")
+# b_0 .. b_m of the degree-m Pade approximant to e^x, for m = 3, 5, 7, 9, 13
+_B = ((120.0, 60.0, 12.0, 1.0),
+      (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+      (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+       1.0),
+      (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+       2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+      (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+       1187353796428800.0, 129060195264000.0, 10559470521600.0,
+       670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+       16380.0, 182.0, 1.0))
+# the degree-m approximant has backward error below the unit roundoff while
+# alpha = max(d_{2p}, d_{2p+2}) <= theta_m (Al-Mohy and Higham, 2009,
+# Table 3.1)
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068, 4.25)
+# degrees 3 .. 9 over the even powers I, M^2, M^4, ...: U = M (C[0] . powers)
+# and V = C[1] . powers, with r_m(M) = (V - U)^{-1} (V + U)
+_UV = [np.array([b[1::2], b[::2]]) for b in _B[:4]]
+# degree 13 in Horner form over I, M^2, M^4, M^6: U = M (M^6 X0 + X1),
+# V = M^6 X2 + X3
+_UV13 = np.array([[0.0, *_B[4][9::2]], _B[4][1:9:2],
+                  [0.0, *_B[4][8::2]], _B[4][0:8:2]])
+# d_k = ||M^k||_1^{1/k} for k = 4, 6, 8, 10
+_ROOTS = 1 / np.array([[4.0], [6.0], [8.0], [10.0]])
+
+
+def _norm1(P):
+    return np.abs(P).sum(axis=-2).max(axis=-1)
+
+
+def _expm_stack(A):
+    """e^A of each matrix of the stack A by scaling and squaring (Al-Mohy
+    and Higham, 2009, Algorithm 5.1, without its l(A, m) term): the lowest
+    Pade degree m <= 9 whose theta bounds every matrix, unscaled, else
+    m = 13 on 2^-s A, with s the least integer >= 0 that brings each
+    matrix's own alpha below theta_13, squared s times."""
+    k, n, _ = A.shape
+    W = np.empty((6, k, n, n))  # I, A^2, A^4, A^6, A^8, A^10
+    W[0] = np.eye(n)
+    np.matmul(A, A, out=W[1])
+    np.matmul(W[1], W[1], out=W[2])
+    np.matmul(W[2], W[1], out=W[3])
+    np.matmul(W[2], W[2], out=W[4])
+    np.matmul(W[2], W[3], out=W[5])
+    d = _norm1(W[2:]) ** _ROOTS  # d_4, d_6, d_8, d_10
+    # alpha_p = max(d_2p, d_2p+2) for p = 2, 3, 4: degrees 3 and 5 read
+    # alpha_2, 7 and 9 alpha_3, and 13 the smaller of alpha_3 and alpha_4
+    alpha = np.fmax(d[:-1], d[1:])
+    worst = alpha.max(axis=1, initial=0.0).tolist()
+    for i, C in enumerate(_UV):
+        if worst[i // 2] <= _THETA[i]:
+            j = C.shape[1]
+            P, V = (C @ W[:j].reshape(j, -1)).reshape(2, k, n, n)
+            U = A @ P
+            return np.linalg.solve(V - U, V + U)
+    # every d_k is at most ||A||_1, which stays finite where a power overflows
+    alpha = np.fmin(np.fmin(alpha[1], alpha[2]), _norm1(A))
+    s = np.ceil(np.log2(np.maximum(alpha / _THETA[4], 1.0))).astype(int)
+    A = A * 2.0 ** -s[:, None, None]
+    W[1:4] *= 2.0 ** -np.multiply.outer([2, 4, 6], s)[..., None, None]
+    X0, X1, X2, X3 = (_UV13 @ W[:4].reshape(4, -1)).reshape(4, k, n, n)
+    U = A @ (W[3] @ X0 + X1)
+    V = W[3] @ X2 + X3
+    E = np.linalg.solve(V - U, V + U)
+    for i in range(s.max(initial=0)):
+        E = np.where((s > i)[:, None, None], E @ E, E)
     return E
 
 
+def expm(M):
+    """e^M of one matrix (n, n) or of each matrix of a stack (k, n, n).
+    Raises Overflow for a non-finite M or a result beyond the float range."""
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise Overflow("matrix exponential of a non-finite matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm_stack(M.reshape(-1, *M.shape[-2:]))
+    if not np.isfinite(E).all():
+        raise Overflow("matrix exponential exceeds the representable range")
+    return E.reshape(M.shape)
+
+
 def phi1(Q, t):
-    """int_0^t e^{sQ} ds via the augmented block exponential."""
+    """int_0^t e^{sQ} ds, for one matrix Q (n, n) or each of a stack
+    (k, n, n), via the augmented block exponential."""
     Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
+    n = Q.shape[-1]
     if t < 0:
         raise ValueError("t must be nonnegative")
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = Q
-    aug[:n, n:] = np.eye(n)
-    return expm(t * aug)[:n, n:]
+    aug = np.zeros((*Q.shape[:-2], 2 * n, 2 * n))
+    aug[..., :n, :n] = Q
+    aug[..., :n, n:] = np.eye(n)
+    return expm(t * aug)[..., :n, n:]
 
 
 def pinv_rank(M, tol: Tolerances = DEFAULT_TOL):
@@ -102,6 +183,12 @@ def principal_logm(M):
 
     L = V diag(log lam) V^{-1} from the eigendecomposition of M, or
     scipy.linalg.logm(M) when cond(V) > _EIG_COND_MAX."""
+    return _logm_flows(M, ())[0]
+
+
+def _logm_flows(M, times):
+    """principal_logm(M) = L, and the flows e^{t L} for each t of times,
+    taken from the same stacked expm as the round-trip check expm(L) = M."""
     M = np.asarray(M, dtype=float)
     try:
         lam, V = np.linalg.eig(M)
@@ -116,11 +203,13 @@ def principal_logm(M):
     if np.linalg.cond(V) <= _EIG_COND_MAX:
         L = (V * np.log(lam)) @ np.linalg.inv(V)
     else:
+        import scipy.linalg  # only here: keeps scipy off the import path
         L = scipy.linalg.logm(M)
     if np.max(np.abs(L.imag)) > 1e-8 * max(1.0, np.max(np.abs(L.real))):
         raise NoConvergence("principal logarithm is not real")
     L = L.real
-    resid = np.linalg.norm(expm(L) - M) / max(1.0, np.linalg.norm(M))
+    E = expm(np.append(1.0, times)[:, None, None] * L)
+    resid = np.linalg.norm(E[0] - M) / max(1.0, np.linalg.norm(M))
     if not resid < 1e-8:
         raise NoConvergence(f"logm round-trip residual {resid:.3e}")
-    return L
+    return L, E[1:]

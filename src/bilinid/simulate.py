@@ -171,7 +171,8 @@ def _pulse_outputs(Z, R, k):
 class SampledSystem:
     """Fixed-rate discretization of a kind-I system at period tau:
     x_{k+1} = F(u_k) x_k + u_k g(u_k) with F(u) = expm((A+uN) tau) and
-    g(u) = phi1(A+uN, tau) b."""
+    g(u) = phi1(A+uN, tau) b. Each map takes one level u or an array of
+    levels, giving one map per level, stacked."""
 
     def __init__(self, t: FourTuple, tau: float):
         if t.kind != TYPE_I:
@@ -181,28 +182,27 @@ class SampledSystem:
         self.t = t
         self.tau = float(tau)
 
-    def F_of_level(self, u: float):
-        return expm((self.t.A + u * self.t.N) * self.tau)
+    def F_of_level(self, u):
+        return expm((self.t.A + np.multiply.outer(u, self.t.N)) * self.tau)
 
-    def g_of_level(self, u: float):
-        return phi1(self.t.A + u * self.t.N, self.tau) @ self.t.b
+    def g_of_level(self, u):
+        return phi1(self.t.A + np.multiply.outer(u, self.t.N),
+                    self.tau) @ self.t.b
 
 
 def sample_discrete(t: FourTuple, tau: float, u_seq):
     """Run the sampled recursion from x_0 = 0; returns [(x_k, y_k)] for
     k = 0 .. len(u_seq). Each distinct level u gets one homogeneous map
-    [[F(u), u g(u)], [0, 1]] on [x; 1], and the recursion applies them in
-    turn."""
+    [[F(u), u g(u)], [0, 1]] on [x; 1], from one call of each map for all
+    the levels, and the recursion applies them in turn."""
     sys = SampledSystem(t, tau)
     levels, which = np.unique(np.asarray(u_seq, dtype=float),
                               return_inverse=True)
     n = t.n
-    maps = []
-    for u in levels.tolist():
-        M = np.eye(n + 1)
-        M[:n, :n] = sys.F_of_level(u)
-        M[:n, n] = u * sys.g_of_level(u)
-        maps.append(M)
+    maps = np.zeros((levels.size, n + 1, n + 1))
+    maps[:, :n, :n] = sys.F_of_level(levels)
+    maps[:, :n, n] = levels[:, None] * sys.g_of_level(levels)
+    maps[:, n, n] = 1.0
     X = np.empty((which.size + 1, n + 1))
     X[0] = x = np.eye(n + 1)[n]
     for k, j in enumerate(which.tolist(), 1):

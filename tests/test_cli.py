@@ -268,6 +268,13 @@ class TestUsage:
         assert proc.returncode == 0
         assert "reproduce" in proc.stdout
 
+    def test_package_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilinid", "check-canonical"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "--system" in proc.stderr
+
 
 class TestReproduce:
     def test_single_criterion(self, capsys):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,64 @@ class TestExpm:
     def test_overflow_is_reported(self):
         with pytest.raises(Overflow):
             expm(np.array([[1e6]]) * 1e3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_input_is_reported(self, bad):
+        M = np.zeros((3, 2, 2))
+        M[1, 0, 1] = bad
+        with pytest.raises(Overflow, match="non-finite"):
+            expm(M)
+
+    @pytest.mark.parametrize("beside", [None, 0.0, 50.0])
+    def test_zero_gives_identity_without_warnings(self, beside):
+        # a zero matrix alone, in a zero stack, and beside a rotation that
+        # needs scaling, where its own scaling must not take log2(0)
+        M = np.zeros((3, 3))
+        if beside is not None:
+            M = np.array([M, beside * (np.eye(3, k=1) - np.eye(3, k=-1))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = expm(M)
+        assert np.max(np.abs(E.reshape(-1, 3, 3)[0] - np.eye(3))) <= (
+            np.spacing(1.0))
+
+    def test_small_matrix_is_not_squared_for_a_large_one(self):
+        # beside a rotation that needs about 2^13 halvings, a matrix of norm
+        # 1e-8 keeps its own scaling; squared 13 times, its e^M - I would
+        # carry about 8192 roundoffs
+        rng = np.random.default_rng(7)
+        small = 1e-8 * rng.standard_normal((3, 3))
+        S = rng.standard_normal((3, 3))
+        E = expm(np.array([small, 1e4 * (S - S.T)]))
+        first_order = E[0] - np.eye(3) - small - small @ small / 2
+        assert np.max(np.abs(first_order)) <= 1e-6 * np.max(np.abs(small))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stack_of_mixed_norms(self, seed):
+        # one Pade degree serves the stack, each matrix has its own
+        # scaling: every matrix must come out as it does alone
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        norms = np.logspace(-8, 2, 11)
+        M = rng.standard_normal((norms.size, n, n))
+        M *= (norms / np.abs(M).sum(axis=1).max(axis=1))[:, None, None]
+        E = expm(M)
+        for Mi, Ei, norm in zip(M, E, norms):
+            scale = np.max(np.abs(Ei))
+            assert np.max(np.abs(Ei - expm(Mi))) <= 1e-12 * scale
+            # the series oracle loses digits to cancellation on the
+            # largest norms
+            assert np.max(np.abs(Ei - expm_series(Mi))) <= (
+                1e-13 * max(norm, 1.0) * scale)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by principal_logm's fallback
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bilinid; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -67,6 +128,13 @@ class TestPhi1:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             phi1(np.eye(2), -1.0)
+
+    def test_stack_matches_quadrature_oracle(self):
+        Q = _random_matrix(3, n=3)
+        P = phi1(np.stack([Q, -Q, np.zeros((3, 3))]), 1.5)
+        for Qi, Pi in zip((Q, -Q, np.zeros((3, 3))), P):
+            assert np.allclose(Pi, phi1_quadrature(Qi, 1.5), atol=1e-9,
+                               rtol=1e-9)
 
     def test_singular_argument(self):
         # phi1 must not invert Q

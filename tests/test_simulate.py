@@ -281,12 +281,13 @@ class TestSampled:
 
     def test_long_train_matches_simulation(self, monkeypatch):
         # 100 levels cross several blocks of the march, and 0.0 and -0.0
-        # share one map of the recursion: three levels, three maps
+        # share one map of the recursion: each map is asked once, for three
+        # levels
         asked = []
 
         def counted(method):
             def wrapper(self, u):
-                asked.append(method.__name__)
+                asked.append((method.__name__, np.size(u)))
                 return method(self, u)
             return wrapper
 
@@ -298,7 +299,7 @@ class TestSampled:
         tau = 0.375
         levels = rng.choice([-1.0, -0.0, 0.0, 1.0], size=100)
         samples = sample_discrete(t, tau, levels)
-        assert sorted(asked) == 3 * ["F_of_level"] + 3 * ["g_of_level"]
+        assert sorted(asked) == [("F_of_level", 3), ("g_of_level", 3)]
         u = PiecewiseConstantInput(tau * np.arange(100), levels,
                                    100 * tau + 1.0)
         tr = simulate(t, u, tau * np.arange(1, 101), with_states=True)
