@@ -85,7 +85,7 @@ def validate(t: FourTuple) -> None:
     ):
         if arr.shape != shape:
             raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
 
 

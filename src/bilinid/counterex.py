@@ -31,8 +31,8 @@ from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import _difference, in_B, io_equivalent, krylov, self_dual_T
-from .simulate import _power_table, _pulse_outputs
+from .realization import _difference, _self_dual, in_B, io_equivalent, krylov
+from .simulate import _power_table, _pulse_peaks
 
 
 @dataclass(frozen=True)
@@ -48,43 +48,43 @@ def _linear_ranks(A, b, c, tol):
     return rank_of(krylov(A, b), tol), rank_of(krylov(A.T, c).T, tol)
 
 
+def _g0_T(t, tol, diag):
+    """The G0 test: the self-dual transform T of t's linear triple when t
+    lies in G0, else None. Records the linear ranks and, for a canonical
+    triple, the twin obstruction ||NT - TN'|| / ||T|| ||N|| in diag."""
+    T, diag["reach_rank"], diag["obs_rank"] = _self_dual(t.A, t.b, t.c, tol)
+    if T is None:
+        return None
+    diag["twin_obstruction"] = float(np.linalg.norm(t.N @ T - T @ t.N.T) / (
+        np.linalg.norm(T) * np.linalg.norm(t.N) or 1.0))
+    return None if in_B(t.N, T, tol) else T
+
+
+def _c_tests(t, tol, diag):
+    """The tests class C adds to G0: (Q - N, b0, c) canonical and e^Q - I
+    invertible. Records the shifted ranks and the eigenvalue gap in diag."""
+    r2, o2 = _linear_ranks(t.A - t.N, t.b, t.c, tol)
+    diag["shifted_reach_rank"] = r2
+    diag["shifted_obs_rank"] = o2
+    gap = float(np.min(np.abs(np.exp(eigenvalues(t.A)) - 1.0)))
+    diag["expQ_unit_eigen_gap"] = gap
+    return r2 == t.n and o2 == t.n and gap > tol.residual_tol
+
+
 def classify(t: FourTuple, alpha: float = 1.0,
              tol: Tolerances = DEFAULT_TOL) -> ClassMembership:
-    """Membership flags for G0, C, M(alpha) and, when n = 2, B_alpha."""
+    """Membership flags for G0, C, M(alpha) and, when n = 2, B_alpha. Runs
+    every test; the pair constructors and twin_via_T run only the G0 test
+    (_g0_T) and, for a single-pulse seed, the tests C adds (_c_tests)."""
     n = t.n
-    A, N, b, c = t.A, t.N, t.b, t.c
     diag = {}
+    in_g0 = _g0_T(t, tol, diag) is not None
+    in_c = in_g0 and _c_tests(t, tol, diag)
 
-    r_reach, r_obs = _linear_ranks(A, b, c, tol)
-    diag["reach_rank"] = r_reach
-    diag["obs_rank"] = r_obs
-    linear_canonical = r_reach == n and r_obs == n
-
-    in_g0 = False
-    if linear_canonical:
-        T = self_dual_T(A, b, c, tol)
-        diag["twin_obstruction"] = float(np.linalg.norm(N @ T - T @ N.T) / (
-            np.linalg.norm(T) * np.linalg.norm(N) or 1.0))
-        in_g0 = not in_B(N, T, tol)
-
-    in_c = False
-    if in_g0:
-        r2, o2 = _linear_ranks(A - N, b, c, tol)
-        diag["shifted_reach_rank"] = r2
-        diag["shifted_obs_rank"] = o2
-        gap = float(np.min(np.abs(np.exp(eigenvalues(A)) - 1.0)))
-        diag["expQ_unit_eigen_gap"] = gap
-        in_c = r2 == n and o2 == n and gap > tol.residual_tol
-
-    G = A + alpha * N
-    r_alpha = rank_of(krylov(G, b), tol)
+    r_alpha = rank_of(krylov(t.A + alpha * t.N, t.b), tol)
     diag["alpha_reach_rank"] = r_alpha
-    in_m = linear_canonical and r_alpha == n
-
-    in_balpha = None
-    if n == 2:
-        in_balpha = _in_b_alpha(t, alpha, tol, diag)
-
+    in_m = diag["reach_rank"] == diag["obs_rank"] == r_alpha == n
+    in_balpha = _in_b_alpha(t, alpha, tol, diag) if n == 2 else None
     return ClassMembership(in_g0, in_c, in_m, in_balpha, diag)
 
 
@@ -108,20 +108,20 @@ def in_b_alpha(t: FourTuple, alpha: float,
     return _in_b_alpha(t, alpha, tol, {})
 
 
-def _twin(A, N, b, c, tol):
+def _twin(T, N):
     """The twin M = T N' T^{-1} of N, with T the self-dual transform of
-    the linear triple (A, b, c)."""
-    T = self_dual_T(A, b, c, tol)
+    the linear triple."""
     return T @ N.T @ np.linalg.inv(T)
 
 
 def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:
-    """Replace N by its twin M = T N' T^{-1}. Requires t in G0; the result
-    is again in G0, differs from t, and matches it on every coefficient
-    c (A + g N)^k b."""
-    if not classify(t, tol=tol).in_G0:
+    """Replace N by its twin M = T N' T^{-1}. Requires t in G0, and runs
+    only the G0 test, whose T gives the twin; the result is again in G0,
+    differs from t, and matches it on every coefficient c (A + g N)^k b."""
+    T = _g0_T(t, tol, {})
+    if T is None:
         raise NotInG0("twin construction requires membership in G0")
-    return FourTuple(t.A, _twin(t.A, t.N, t.b, t.c, tol), t.b, t.c, t.kind)
+    return FourTuple(t.A, _twin(T, t.N), t.b, t.c, t.kind)
 
 
 # -- single pulse -------------------------------------------------------------
@@ -157,23 +157,26 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     """Two kind-I systems whose outputs coincide under the single pulse
     u = alpha on [0, tau), 0 after, although they are not i/o equivalent.
 
-    The seed (Q, N, b0, c) must lie in class C. The construction follows
-    the unit-pulse normalization: sigma = psi(seed); the partner replaces N
-    by the twin M taken at (Q, b0, c) (rho(Q) sigma.b = det(rho(Q)) b0, and
-    the twin does not change when b is scaled); both are then
-    rescaled to (tau, alpha). One power table of the difference system at
-    delta = tau/100 gives both certificates: the agreement residual, the
-    largest output gap under the class pulse at the 501 points j delta of
-    [0, 5 tau], and the distinguishing input, the single pulse of another
-    width of distinguishing_search (None when no width separates)."""
+    The seed (Q, N, b0, c) must lie in class C. Only the G0 test and the
+    tests C adds to it run, not classify's M and B_alpha tests. The
+    construction follows the unit-pulse normalization: sigma = psi(seed);
+    the partner replaces N by the twin M taken at (Q, b0, c) from the T of
+    the G0 test (rho(Q) sigma.b = det(rho(Q)) b0, and the twin does not
+    change when b is scaled); both are then rescaled to (tau, alpha). One
+    power table of the difference system at delta = tau/100 gives both
+    certificates: the agreement residual, the largest output gap under the
+    class pulse at the 501 points j delta of [0, 5 tau], and the
+    distinguishing input, the single pulse of another width of
+    distinguishing_search (None when no width separates)."""
     if tau <= 0 or alpha == 0:
         raise DegenerateRescale("need tau > 0 and alpha != 0")
-    if not classify(seed, tol=tol).in_C:
+    T = _g0_T(seed, tol, {})
+    if T is None or not _c_tests(seed, tol, {}):
         raise NotInC("seed must lie in class C")
     Q, N, b0, c = seed.A, seed.N, seed.b, seed.c
 
     sigma = psi(Q, N, b0, c, TYPE_I)
-    M = _twin(Q, N, b0, c, tol)
+    M = _twin(T, N)
     sigma_hat = FourTuple(Q - M, M, sigma.b, c, TYPE_I)
 
     sigma = rescale(sigma, tau, alpha)
@@ -213,7 +216,7 @@ def _pulse_certificates(d, tau, alpha, trail=(), rows=0):
     delta = s / 100
     Z, R = _power_table(d, alpha, delta, [(0.0, delta), *trail], 501)
     k = _witness_widths(tau)
-    gap = np.max(np.abs(_pulse_outputs(Z, R[0], k)), axis=1)
+    gap = _pulse_peaks(Z, R[0], k)
     best = int(np.argmax(gap))
     y = _class_outputs(Z, R[0, 0], R[1:], round(tau / delta), rows)
     return (float(np.max(np.abs(y), initial=0.0)),
@@ -267,14 +270,15 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     alpha on [0, tau) and an arbitrary constant afterward, although they
     are not i/o equivalent. tau = 0 gives the constant-input class.
 
-    One power table of the difference system gives both certificates: the
-    agreement residual, the largest output gap over the trailing levels
-    BETA_TEST_SET * max(1, |alpha|), read at the points j delta of [0, tau)
-    with delta = s/100 (s = tau, or 1 when tau = 0) and at the 501 points
-    tau + m/100 of [tau, tau + 5], so the table has 501 rows whatever tau;
-    and the distinguishing input, a single pulse of amplitude alpha and a
-    width other than tau, then 0, from distinguishing_search (None when no
-    width separates).
+    The seed (P, N, b0, c) must lie in G0, and only the G0 test runs; its
+    T gives the twin M of N. One power table of the difference system
+    gives both certificates: the agreement residual, the largest output
+    gap over the trailing levels BETA_TEST_SET * max(1, |alpha|), read at
+    the points j delta of [0, tau) with delta = s/100 (s = tau, or 1 when
+    tau = 0) and at the 501 points tau + m/100 of [tau, tau + 5], so the
+    table has 501 rows whatever tau; and the distinguishing input, a
+    single pulse of amplitude alpha and a width other than tau, then 0,
+    from distinguishing_search (None when no width separates).
 
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
@@ -283,10 +287,11 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
         raise DegenerateRescale("need tau >= 0")
     if kind == TYPE_I and tau != 0:
         raise ValueError("kind-I pairs exist only for tau = 0 (constants)")
-    if not classify(seed, tol=tol).in_G0:
+    T = _g0_T(seed, tol, {})
+    if T is None:
         raise NotInG0("seed must lie in G0")
     P, N, b0, c = seed.A, seed.N, seed.b, seed.c
-    M = _twin(P, N, b0, c, tol)
+    M = _twin(T, N)
 
     sigma = phi_map(P, N, b0, c, tau, alpha, kind)
     sigma_hat = FourTuple(P - alpha * M, M, sigma.b, c, kind)
@@ -375,7 +380,7 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
 
     diff = _difference(sigma, sigma_hat)
     Z, R = _power_table(diff, alpha, tau, [(0.0, tau)], 11)
-    residual = float(np.max(np.abs(_pulse_outputs(Z, R[0], range(7)))))
+    residual = float(np.max(_pulse_peaks(Z, R[0], np.arange(7))))
     Z, _ = _power_table(diff, alpha, 0.01, [], 301)
     disc = float(np.max(np.abs(Z[:, :diff.n] @ diff.c)))
     if disc <= tol.agree_tol:

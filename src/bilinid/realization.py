@@ -251,19 +251,28 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     return witness
 
 
+def _self_dual(A, b, c, tol):
+    """(T, reach rank, obs rank) of the linear triple (A, b, c) from one
+    Krylov matrix each way; T is the self-dual transform, or None unless
+    both ranks are full."""
+    A = np.asarray(A, dtype=float)
+    R, O = krylov(A, b), krylov(A.T, c).T
+    ranks = rank_of(R, tol), rank_of(O, tol)
+    if min(ranks) < len(R):
+        return (None, *ranks)
+    # T O' = R, i.e. O T' = R', and T is symmetric anyway
+    return (np.linalg.solve(O, R.T).T, *ranks)
+
+
 def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):
     """The similarity between the linear triple (A, b, c) and its dual
     (A', c', b'): T = R(A,b) [(O(A,c))']^{-1}, satisfying A T = T A',
     b = T c', c T = b'. T is symmetric. Requires R and O invertible."""
-    A = np.asarray(A, dtype=float)
-    R, O = krylov(A, b), krylov(A.T, c).T
-    n = R.shape[0]
-    if rank_of(R, tol) < n or rank_of(O, tol) < n:
-        raise NotCanonicalTriple(
-            f"linear triple has ranks ({rank_of(R, tol)}, {rank_of(O, tol)}), need {n}"
-        )
-    # T O' = R, i.e. O T' = R', and T is symmetric anyway
-    return np.linalg.solve(O, R.T).T
+    T, r_reach, r_obs = _self_dual(A, b, c, tol)
+    if T is None:
+        raise NotCanonicalTriple(f"linear triple has ranks ({r_reach}, "
+                                 f"{r_obs}), need {np.size(b)}")
+    return T
 
 
 def in_B(N, S, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -23,11 +23,12 @@ and g(u) = phi1(A + uN, tau) b, and shares no code with the march or the
 power table: comparing the two checks one construction against another.
 
 Pulses of one amplitude on a uniform grid need no march at all: every such
-output is a power of two one-step maps, read from one table (_power_table,
-_pulse_outputs). The table is filled by repeated squaring, not one step at
-a time: rows p .. 2p-1 are rows 0 .. p-1 times the p-th power of the maps.
-A state that leaves the representable range raises Overflow instead of
-giving outputs.
+output is a power of two one-step maps, read from one table
+(_power_table), and _pulse_peaks reduces the table to the largest output
+of each pulse width. The table is filled by repeated squaring, not one
+step at a time: rows p .. 2p-1 are rows 0 .. p-1 times the p-th power of
+the maps. A state that leaves the representable range raises Overflow
+instead of giving outputs.
 """
 
 import numpy as np
@@ -157,15 +158,19 @@ def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
     return W[0], W[1:][which]
 
 
-def _pulse_outputs(Z, R, k):
-    """Outputs y[i, j] at the times j delta of the table's pulse of width
-    k[i] delta followed by the trailing level whose rows are R (one level
-    of the table, stepped by delta): c Z_j while the pulse lasts,
-    R_{j-k} Z_k after."""
-    k = np.asarray(k)[:, None]
-    j = np.arange(len(Z))
-    tail = (R @ Z[k[:, 0]].T)[np.maximum(j - k, 0), np.arange(k.size)[:, None]]
-    return np.where(j < k, R[0] @ Z.T, tail)
+def _pulse_peaks(Z, R, k):
+    """The largest |output| at the times j delta of the table's pulse of
+    width k[i] delta (k an integer array) followed by the trailing level
+    whose rows are R (one level of the table, stepped by delta): the
+    running maximum of |c Z_j| while the pulse lasts (c = R_0; none for
+    width 0), against that of |R_m Z_k| over the len(Z) - k rows after
+    it."""
+    front = np.maximum.accumulate(np.abs(np.append(0.0, R[0] @ Z.T)))
+    tail = R @ Z[k].T
+    # in place: a second table-sized temporary would make malloc return
+    # the freed heap top to the system after each call, and fault it back
+    np.maximum.accumulate(np.abs(tail, out=tail), axis=0, out=tail)
+    return np.maximum(front[k], tail[len(Z) - 1 - k, np.arange(k.size)])
 
 
 class SampledSystem:

@@ -9,12 +9,12 @@ from bilinid import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple,
                      respond_pulse, sample_discrete, sample_in_B_alpha,
                      sample_in_C, sample_in_G0, sample_in_M, sampled_pair,
                      simulate, single_pulse_pair, twin_via_T)
-from bilinid import counterex
+from bilinid import counterex, realization
 from bilinid.counterex import (BETA_TEST_SET, _class_outputs,
                                _witness_widths, distinguishing_search,
                                gaussian_tuple)
-from bilinid.realization import _difference
-from bilinid.simulate import _power_table, _pulse_outputs
+from bilinid.realization import _difference, krylov
+from bilinid.simulate import _power_table, _pulse_peaks
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
                             NoDistinguisherFound, NotInBalpha, NotInC,
                             NotInG0, NoValidL, Overflow)
@@ -115,6 +115,94 @@ class TestTwin:
             y1, y2 = float(t.c @ v1), float(th.c @ v2)
             assert abs(y1 - y2) <= 1e-8 * max(1.0, abs(y1))
             v1, v2 = G1 @ v1, G2 @ v2
+
+
+def _members_and_not(n, scale, rng):
+    """A Gaussian draw (almost surely in C), the draw with N = 0 (outside
+    G0), with A made singular (in G0 but e^A - I singular, so outside C)
+    and with b = 0 (not canonical)."""
+    t = gaussian_tuple(n, rng, scale=scale)
+    v = rng.standard_normal(n)
+    singular = t.A @ (np.eye(n) - np.outer(v, v) / (v @ v))
+    return [t, FourTuple(t.A, np.zeros((n, n)), t.b, t.c),
+            FourTuple(singular, t.N, t.b, t.c),
+            FourTuple(t.A, t.N, np.zeros(n), t.c)]
+
+
+def _expected_keys(cm, n):
+    keys = ["reach_rank", "obs_rank"]
+    if cm.diagnostics["reach_rank"] == n == cm.diagnostics["obs_rank"]:
+        keys.append("twin_obstruction")
+    if cm.in_G0:
+        keys += ["shifted_reach_rank", "shifted_obs_rank",
+                 "expQ_unit_eigen_gap"]
+    keys.append("alpha_reach_rank")
+    if n == 2:
+        keys += ["alpha_pair_reach_rank", "alpha_pair_obs_rank",
+                 "max_imag_part"]
+    return keys
+
+
+class TestConstructorsDecideOnce:
+    """The pair constructors and twin_via_T run only the membership tests
+    they need, on one self-dual transform, and agree with classify."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", [0.4, 1.0])
+    def test_raises_exactly_when_classify_says_no(self, n, scale):
+        rng = np.random.default_rng(100 * n + int(10 * scale))
+        seen = set()
+        for _ in range(5):
+            for t in _members_and_not(n, scale, rng):
+                cm = classify(t)
+                seen.add((cm.in_G0, cm.in_C))
+                assert list(cm.diagnostics) == _expected_keys(cm, n)
+                if cm.in_C:
+                    single_pulse_pair(t, 1.0, 1.0)
+                else:
+                    with pytest.raises(NotInC):
+                        single_pulse_pair(t, 1.0, 1.0)
+                tII = t.with_kind(TYPE_II)
+                if cm.in_G0:
+                    twin_via_T(t)
+                    pulse_family_pair(tII, 1.0, 1.0)
+                else:
+                    with pytest.raises(NotInG0):
+                        twin_via_T(t)
+                    with pytest.raises(NotInG0):
+                        pulse_family_pair(tII, 1.0, 1.0)
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pair_twins_are_twin_via_T_bitwise(self, n):
+        tau, alpha = 2.0, -0.5
+        seed = _c_seed(11, n)
+        pair = single_pulse_pair(seed, tau, alpha)
+        assert np.array_equal(pair.sigma_hat.N,
+                              twin_via_T(seed).N / (alpha * tau))
+        seed, _ = sample_in_G0(n, np.random.default_rng(11), kind=TYPE_II,
+                               scale=0.4)
+        for tau in (0.0, 1.0):
+            pair = pulse_family_pair(seed, tau, 1.0)
+            assert np.array_equal(pair.sigma_hat.N, twin_via_T(seed).N)
+
+    def test_krylov_calls_per_pair(self, monkeypatch):
+        c_seed = _c_seed(42)
+        g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
+                                  scale=0.4)
+        calls = []
+
+        def spy(A, v):
+            calls.append(1)
+            return krylov(A, v)
+
+        for module in (counterex, realization):
+            monkeypatch.setattr(module, "krylov", spy)
+        single_pulse_pair(c_seed, 2.0, 0.5)
+        assert len(calls) <= 4
+        calls.clear()
+        pulse_family_pair(g0_seed, 1.0, 1.0)
+        assert len(calls) <= 2
 
 
 class TestDifferenceSystem:
@@ -258,6 +346,17 @@ def _family_pair(seed_int, kind, tau, n=2):
     return pulse_family_pair(seed, tau, 1.0, kind=kind)
 
 
+def _width_table(Z, R, k):
+    """The outputs y[i, j] at the times j delta of the table's pulse of
+    width k[i] steps followed by the level whose rows are R, entry by entry
+    from the definition: c Z_j while the pulse lasts (c = R_0), R_{j-k} Z_k
+    after it. The products are formed as _pulse_peaks forms them."""
+    k = list(k)
+    front, tail = R[0] @ Z.T, R @ Z[k].T
+    return np.array([[front[j] if j < w else tail[j - w, i]
+                      for j in range(len(Z))] for i, w in enumerate(k)])
+
+
 def _separation(pair):
     u = pair.distinguishing_input
     grid = np.linspace(0.0, u.horizon - 1.0, 160)
@@ -299,11 +398,13 @@ class TestDistinguishingSearch:
         march, y1, y2 = scan([(w, 0.0) for w in k * delta],
                              delta * np.arange(501))
         Z, R = _power_table(d, alpha, delta, [(0.0, delta)], 501)
-        y = _pulse_outputs(Z, R[0], k)
+        y = _width_table(Z, R[0], k)
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - march)) <= 1e-12 * scale
+        peaks = _pulse_peaks(Z, R[0], k)
+        assert np.array_equal(peaks, np.max(np.abs(y), axis=1))
         best = int(np.argmax(np.max(np.abs(march), axis=1)))
-        assert int(np.argmax(np.max(np.abs(y), axis=1))) == best
+        assert int(np.argmax(peaks)) == best
         u = distinguishing_search(pair, tau, alpha)
         assert u.breakpoints.tolist() == [0.0, k[best] * delta]
         assert u.levels.tolist() == [alpha, 0.0]
@@ -367,9 +468,11 @@ class TestDistinguishingSearch:
                       for k in range(7)])
             for m in (d, pair.sigma, pair.sigma_hat))
         Z, R = _power_table(d, 1.0, 1.0, [(0.0, 1.0)], 11)
-        y = _pulse_outputs(Z, R[0], range(7))
+        y = _width_table(Z, R[0], range(7))
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - recursion)) <= 1e-12 * scale
+        assert np.array_equal(_pulse_peaks(Z, R[0], np.arange(7)),
+                              np.max(np.abs(y), axis=1))
         assert pair.agreement_residual == pytest.approx(
             np.max(np.abs(recursion)), abs=1e-12 * scale)
 
