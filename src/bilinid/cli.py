@@ -25,8 +25,8 @@ from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         single_pulse_pair)
 from .errors import BilinError
 from .identify import IdentifyConfig, identify, oracle_from_tuple
-from .matfun import DEFAULT_TOL, rank_of
-from .realization import extended_obs, extended_reach, io_equivalent
+from .matfun import DEFAULT_TOL
+from .realization import _canonical_gap, io_equivalent
 from .simulate import respond_pulse, simulate
 
 
@@ -179,18 +179,9 @@ def _cmd_check_equiv(args):
 
 
 def _cmd_check_canonical(args):
-    t = _load_tuple(args.system)
-    tol = _tolerances(args.tol)
-    r = rank_of(extended_reach(t), tol)
-    if r < t.n:
-        doc = {"canonical": False, "reason": f"reachability rank {r}"}
-    else:
-        o = rank_of(extended_obs(t), tol)
-        if o < t.n:
-            doc = {"canonical": False, "reason": f"observability rank {o}"}
-        else:
-            doc = {"canonical": True, "reason": None}
-    _emit(doc, args.out)
+    gap = _canonical_gap(_load_tuple(args.system), _tolerances(args.tol))
+    reason = None if gap is None else f"{gap[0]} rank {gap[1]}"
+    _emit({"canonical": gap is None, "reason": reason}, args.out)
     return 0
 
 

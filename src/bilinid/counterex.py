@@ -6,7 +6,10 @@ need.
 Classes (all decided by rank/residual tests at runtime):
 
   G0:      (A, b, c) canonical as a linear triple and N not in B(T(A,b,c)),
-           where T is the self-dual transform and B(S) = {N : NS = SN'}.
+           where T is the self-dual transform and B(T) = {N : NT = TN'}.
+           _g0_T decides it, and only there: N lies outside B(T) when the
+           twin obstruction ||NT - TN'|| / ||T|| ||N|| that it reports
+           exceeds residual_tol.
   C:       seeds (Q, N, b0, c) for the single-pulse construction: (Q,b0,c)
            and (Q-N,b0,c) canonical, e^Q - I invertible, N not in B(T).
   M:       systems identifiable from pulses of amplitude alpha: (A,b,c)
@@ -31,7 +34,7 @@ from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import _difference, _self_dual, in_B, io_equivalent, krylov
+from .realization import _difference, _self_dual, io_equivalent, krylov
 from .simulate import _power_table, _pulse_peaks
 
 
@@ -51,13 +54,15 @@ def _linear_ranks(A, b, c, tol):
 def _g0_T(t, tol, diag):
     """The G0 test: the self-dual transform T of t's linear triple when t
     lies in G0, else None. Records the linear ranks and, for a canonical
-    triple, the twin obstruction ||NT - TN'|| / ||T|| ||N|| in diag."""
+    triple, the twin obstruction ||NT - TN'|| / ||T|| ||N|| in diag; t lies
+    in G0 exactly when that obstruction exceeds residual_tol (N = 0 reads
+    0, so it never does)."""
     T, diag["reach_rank"], diag["obs_rank"] = _self_dual(t.A, t.b, t.c, tol)
     if T is None:
         return None
     diag["twin_obstruction"] = float(np.linalg.norm(t.N @ T - T @ t.N.T) / (
         np.linalg.norm(T) * np.linalg.norm(t.N) or 1.0))
-    return None if in_B(t.N, T, tol) else T
+    return T if diag["twin_obstruction"] > tol.residual_tol else None
 
 
 def _c_tests(t, tol, diag):
@@ -132,14 +137,6 @@ def psi(Q, N, b0, c, kind: str = TYPE_I) -> FourTuple:
     rho = phi1(Q, 1.0)
     b = float(np.linalg.det(rho)) * np.linalg.solve(rho, np.ravel(b0))
     return FourTuple(np.asarray(Q) - np.asarray(N), N, b, c, kind)
-
-
-def psi_inverse(t: FourTuple):
-    """Recover (Q, N, b0, c): Q = A + N, b0 = det(rho(Q))^{-1} rho(Q) b."""
-    Q = t.A + t.N
-    rho = phi1(Q, 1.0)
-    b0 = (rho @ t.b) / float(np.linalg.det(rho))
-    return Q, t.N, b0, t.c
 
 
 def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
@@ -256,11 +253,6 @@ def phi_map(P, N, b0, c, tau: float, alpha: float,
     P = np.asarray(P, dtype=float)
     return FourTuple(P - alpha * np.asarray(N), N,
                      expm(-tau * P) @ np.ravel(b0), c, kind)
-
-
-def phi_inverse(t: FourTuple, tau: float, alpha: float):
-    P = t.A + alpha * t.N
-    return P, t.N, expm(tau * P) @ t.b, t.c
 
 
 def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,

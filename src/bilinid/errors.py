@@ -55,10 +55,6 @@ class NotCanonicalTriple(BilinError):
     pass
 
 
-class ZeroS(BilinError):
-    pass
-
-
 # -- simulation ------------------------------------------------------------
 
 class GridOutOfRange(BilinError):

@@ -88,6 +88,10 @@ class IdentifyConfig:
 
     n_max: int = 8
 
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     """Exact in-process oracle for a known system (the test-harness black

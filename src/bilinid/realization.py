@@ -1,5 +1,8 @@
-"""Word products, reachability/observability, canonicality, i/o equivalence,
-similarity recovery, the self-dual transform T, and the B(S) predicate.
+"""Word products, Krylov matrices, canonicality, i/o equivalence,
+similarity recovery and the self-dual transform T. Whether N lies in
+B(T) = {N : N T = T N'} is decided in counterex._g0_T, on the twin
+obstruction it reports; canonicality is decided here only, in
+_canonical_gap, which is_canonical and the CLI's check-canonical read.
 
 Two 4-tuples are i/o equivalent exactly when the series coefficients
 c A_{i1} ... A_{ik} b (A_0 = A, A_1 = N) agree for every word; checking all
@@ -49,16 +52,11 @@ import math
 import numpy as np
 
 from .core import FourTuple, SimilarityWitness
-from .errors import NotCanonical, NotCanonicalTriple, NotSimilar, ZeroS
+from .errors import NotCanonical, NotCanonicalTriple, NotSimilar
 from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
 
 # rounding allowance per matrix product and state
 _ROUND = 8 * np.finfo(float).eps
-
-
-def word_at(length: int, index: int) -> str:
-    """The index-th word of the given length in lexicographic order (A < N)."""
-    return "".join("AN"[(index >> (length - 1 - j)) & 1] for j in range(length))
 
 
 def series_coefficient(t: FourTuple, word: str) -> float:
@@ -133,13 +131,6 @@ def _balanced(t: FourTuple):
     return m * b, m * c
 
 
-def reach_obs(t: FourTuple):
-    """R = [b, Ab, ..., A^{n-1} b]; O has rows c, cA, ..., cA^{n-1}."""
-    R = krylov(t.A, t.b)
-    O = krylov(t.A.T, t.c).T
-    return R, O
-
-
 def krylov(A, v):
     A = np.asarray(A, dtype=float)
     v = np.ravel(np.asarray(v, dtype=float))
@@ -149,26 +140,20 @@ def krylov(A, v):
     return np.column_stack(cols)
 
 
-def extended_reach(t: FourTuple):
-    """The span of the products A_w b over words of length <= n-1, as the
-    word layers X_0, ..., X_{n-1} of (A, N, b) side by side, one column
-    block per length. Block k has the span and the singular values of the
-    products of length k of (A, N, b) / ||[A, N]||^k ||b||, in at most 4n
-    columns (8n for the last)."""
-    return _span(t.A, t.N, t.b, t.n - 1).T
-
-
-def extended_obs(t: FourTuple):
-    """The span of the rows c A_w over words of length <= n-1: the word
-    layers of (A', N', c) as row blocks, one block per length, weighted
-    as in extended_reach."""
-    return _span(t.A.T, t.N.T, t.c, t.n - 1)
+def _canonical_gap(t: FourTuple, tol: Tolerances):
+    """The first of t's extended reachability and observability spans (the
+    word layers of (A, N, b) and of (A', N', c) up to length n-1) whose
+    rank falls short of n, as (side, rank); None when t is canonical."""
+    for side, A, N, v in (("reachability", t.A, t.N, t.b),
+                          ("observability", t.A.T, t.N.T, t.c)):
+        r = rank_of(_span(A, N, v, t.n - 1), tol)
+        if r < t.n:
+            return side, r
+    return None
 
 
 def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    n = t.n
-    return (rank_of(_span(t.A, t.N, t.b, n - 1), tol) == n
-            and rank_of(_span(t.A.T, t.N.T, t.c, n - 1), tol) == n)
+    return _canonical_gap(t, tol) is None
 
 
 def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
@@ -274,13 +259,3 @@ def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):
                                  f"{r_obs}), need {np.size(b)}")
     return T
 
-
-def in_B(N, S, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether N S = S N' up to residual_tol relative to ||S|| ||N||."""
-    N = np.asarray(N, dtype=float)
-    S = np.asarray(S, dtype=float)
-    nS = np.linalg.norm(S)
-    if nS == 0.0:
-        raise ZeroS("S must be nonzero")
-    scale = nS * np.linalg.norm(N)
-    return float(np.linalg.norm(N @ S - S @ N.T)) <= tol.residual_tol * scale

@@ -17,10 +17,11 @@ next, and one batched product reads every state. No product spans more
 than one block, so a mode the state never excites overflows only if its
 16-step power does. Outputs are reported only at the requested points.
 
-The fixed-rate sampled recursion (SampledSystem, sample_discrete) stays a
-step-by-step recursion built from its own maps, F(u) = expm((A + uN) tau)
-and g(u) = phi1(A + uN, tau) b, and shares no code with the march or the
-power table: comparing the two checks one construction against another.
+The fixed-rate sampled recursion (sample_discrete) stays a step-by-step
+recursion built from its own maps, F(u) = expm((A + uN) tau) and
+g(u) = phi1(A + uN, tau) b, which it forms itself, and shares no code with
+the march or the power table: comparing the two checks one construction
+against another.
 
 Pulses of one amplitude on a uniform grid need no march at all: every such
 output is a power of two one-step maps, read from one table
@@ -173,40 +174,25 @@ def _pulse_peaks(Z, R, k):
     return np.maximum(front[k], tail[len(Z) - 1 - k, np.arange(k.size)])
 
 
-class SampledSystem:
-    """Fixed-rate discretization of a kind-I system at period tau:
-    x_{k+1} = F(u_k) x_k + u_k g(u_k) with F(u) = expm((A+uN) tau) and
-    g(u) = phi1(A+uN, tau) b. Each map takes one level u or an array of
-    levels, giving one map per level, stacked."""
-
-    def __init__(self, t: FourTuple, tau: float):
-        if t.kind != TYPE_I:
-            raise ValueError("sampled recursion applies to kind-I systems")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
-        self.t = t
-        self.tau = float(tau)
-
-    def F_of_level(self, u):
-        return expm((self.t.A + np.multiply.outer(u, self.t.N)) * self.tau)
-
-    def g_of_level(self, u):
-        return phi1(self.t.A + np.multiply.outer(u, self.t.N),
-                    self.tau) @ self.t.b
-
-
 def sample_discrete(t: FourTuple, tau: float, u_seq):
-    """Run the sampled recursion from x_0 = 0; returns [(x_k, y_k)] for
+    """Run the fixed-rate sampled recursion of a kind-I system at period
+    tau, x_{k+1} = F(u_k) x_k + u_k g(u_k) with F(u) = expm((A + uN) tau)
+    and g(u) = phi1(A + uN, tau) b, from x_0 = 0; returns [(x_k, y_k)] for
     k = 0 .. len(u_seq). Each distinct level u gets one homogeneous map
-    [[F(u), u g(u)], [0, 1]] on [x; 1], from one call of each map for all
-    the levels, and the recursion applies them in turn."""
-    sys = SampledSystem(t, tau)
+    [[F(u), u g(u)], [0, 1]] on [x; 1], from one stacked call of expm and
+    one of phi1 for all the levels, and the recursion applies them in
+    turn."""
+    if t.kind != TYPE_I:
+        raise ValueError("sampled recursion applies to kind-I systems")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     levels, which = np.unique(np.asarray(u_seq, dtype=float),
                               return_inverse=True)
     n = t.n
+    G = t.A + np.multiply.outer(levels, t.N)
     maps = np.zeros((levels.size, n + 1, n + 1))
-    maps[:, :n, :n] = sys.F_of_level(levels)
-    maps[:, :n, n] = levels[:, None] * sys.g_of_level(levels)
+    maps[:, :n, :n] = expm(G * tau)
+    maps[:, :n, n] = levels[:, None] * (phi1(G, tau) @ t.b)
     maps[:, n, n] = 1.0
     X = np.empty((which.size + 1, n + 1))
     X[0] = x = np.eye(n + 1)[n]

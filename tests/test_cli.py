@@ -248,6 +248,13 @@ class TestIdentify:
         assert out == ""
         assert "unrecognized arguments: --h" in err
 
+    def test_order_bound_below_one_is_usage_error(self, capsys, scalar_file):
+        code, out, err = _run(capsys, "identify", "--system", scalar_file,
+                              "--n-max", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bilinid: error:") and "n_max" in err
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple,
-                     InputClass, PiecewiseConstantInput, SampledSystem,
-                     classify, in_b_alpha, io_equivalent, phi_inverse, phi_map,
-                     psi, psi_inverse, pulse_family_pair, rescale,
+from bilinid import (DEFAULT_TOL, TYPE_I, TYPE_II, CounterexamplePair,
+                     FourTuple, InputClass, PiecewiseConstantInput,
+                     Tolerances, classify, expm, in_b_alpha, io_equivalent,
+                     phi1, phi_map, psi, pulse_family_pair, rescale,
                      respond_pulse, sample_discrete, sample_in_B_alpha,
                      sample_in_C, sample_in_G0, sample_in_M, sampled_pair,
-                     simulate, single_pulse_pair, twin_via_T)
+                     self_dual_T, simulate, single_pulse_pair, twin_via_T)
 from bilinid import counterex, realization
 from bilinid.counterex import (BETA_TEST_SET, _class_outputs,
                                _witness_widths, distinguishing_search,
@@ -205,6 +205,48 @@ class TestConstructorsDecideOnce:
         assert len(calls) <= 2
 
 
+def _near_B(ratio, tol):
+    """A tuple whose N = N0 + eps E has twin obstruction ratio times
+    residual_tol: N0 = T S with S symmetric lies in B(T) (N0 T = T S T =
+    T N0'), and eps scales a generic E out of it."""
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((3, 3))
+    b, c = rng.standard_normal(3), rng.standard_normal(3)
+    T = self_dual_T(A, b, c, tol)
+    S = rng.standard_normal((3, 3))
+    N0 = T @ (S + S.T)
+    E = rng.standard_normal((3, 3))
+    norm = np.linalg.norm
+    eps = (ratio * tol.residual_tol * norm(T) * norm(N0)
+           / norm(E @ T - T @ E.T))
+    return FourTuple(A, N0 + eps * E, b, c)
+
+
+class TestG0Margin:
+    """G0 is decided on the twin obstruction that diagnostics reports, at
+    residual_tol, and scaling b moves neither."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(residual_tol=1e-6)],
+                             ids=["default", "residual_1e-6"])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_decision_is_the_reported_margin(self, ratio, tol):
+        t = _near_B(ratio, tol)
+        cm = classify(t, tol=tol)
+        obstruction = cm.diagnostics["twin_obstruction"]
+        assert obstruction == pytest.approx(ratio * tol.residual_tol, rel=1e-3)
+        assert cm.in_G0 == (obstruction > tol.residual_tol) == (ratio > 1)
+        if ratio < 1:
+            with pytest.raises(NotInG0):
+                twin_via_T(t, tol)
+        else:
+            twin_via_T(t, tol)
+        for factor in (1e-3, 1e3):
+            scaled = classify(FourTuple(t.A, t.N, factor * t.b, t.c), tol=tol)
+            assert scaled.in_G0 == cm.in_G0
+            assert scaled.diagnostics["twin_obstruction"] == pytest.approx(
+                obstruction, rel=1e-6)
+
+
 class TestDifferenceSystem:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([TYPE_I, TYPE_II]))
@@ -229,7 +271,11 @@ class TestNormalizationMaps:
         rng = np.random.default_rng(seed)
         Q, N = 0.5 * rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         b0, c = rng.standard_normal(3), rng.standard_normal(3)
-        Q2, N2, b02, c2 = psi_inverse(psi(Q, N, b0, c))
+        t = psi(Q, N, b0, c)
+        # the inverse: Q = A + N, b0 = rho(Q) b / det rho(Q)
+        Q2, N2, c2 = t.A + t.N, t.N, t.c
+        rho = phi1(Q2, 1.0)
+        b02 = rho @ t.b / np.linalg.det(rho)
         assert np.allclose(Q2, Q, atol=1e-9)
         assert np.allclose(N2, N, atol=1e-12)
         assert np.allclose(b02, b0, atol=1e-9)
@@ -241,8 +287,11 @@ class TestNormalizationMaps:
         rng = np.random.default_rng(seed)
         P, N = 0.5 * rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         b0, c = rng.standard_normal(3), rng.standard_normal(3)
-        t = phi_map(P, N, b0, c, 0.7, -0.5)
-        P2, N2, b02, c2 = phi_inverse(t, 0.7, -0.5)
+        tau, alpha = 0.7, -0.5
+        t = phi_map(P, N, b0, c, tau, alpha)
+        # the inverse: P = A + alpha N, b0 = e^{tau P} b
+        P2 = t.A + alpha * t.N
+        b02 = expm(tau * P2) @ t.b
         assert np.allclose(P2, P, atol=1e-9)
         assert np.allclose(b02, b0, atol=1e-9)
 
@@ -506,13 +555,13 @@ class TestDistinguishingSearch:
 class TestSampledPair:
     def test_rotor_aliases_to_the_same_transition(self):
         pair = sampled_pair(ROTOR, 1.0, 1.0, l=1)
-        F = SampledSystem(pair.sigma, 1.0).F_of_level(1.0)
-        Fh = SampledSystem(pair.sigma_hat, 1.0).F_of_level(1.0)
+        # at u = 1 and tau = 1: F = expm(A + N) and g = phi1(A + N, 1) b
+        G, Gh = (s.A + s.N for s in (pair.sigma, pair.sigma_hat))
         expect = [[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]
-        assert np.allclose(F, expect, atol=1e-12)
-        assert np.allclose(Fh, expect, atol=1e-9)
-        g = SampledSystem(pair.sigma, 1.0).g_of_level(1.0)
-        gh = SampledSystem(pair.sigma_hat, 1.0).g_of_level(1.0)
+        assert np.allclose(expm(G), expect, atol=1e-12)
+        assert np.allclose(expm(Gh), expect, atol=1e-9)
+        g = phi1(G, 1.0) @ pair.sigma.b
+        gh = phi1(Gh, 1.0) @ pair.sigma_hat.b
         assert np.allclose(g, gh, atol=1e-9)
 
     def test_rotor_continuous_separation(self):

@@ -178,6 +178,13 @@ class TestIdentify:
             identify(warped, IdentifyConfig(n_max=4),
                      rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_max", [-1, 0])
+    def test_order_bound_below_one_is_rejected(self, n_max):
+        # n_max = 0 leaves a 1 x 1 Hankel with no rank gap to find, and
+        # n_max < 0 an empty one
+        with pytest.raises(ValueError, match="n_max"):
+            IdentifyConfig(n_max=n_max)
+
     def test_silent_system_is_ambiguous(self):
         silent = PulseOracle(lambda tau, t: 0.0, 1.0, TYPE_I)
         with pytest.raises(OrderAmbiguous):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilinid import (DEFAULT_TOL, FourTuple, Tolerances, conjugate,
-                     extended_obs, extended_reach, in_B, io_equivalent,
-                     is_canonical, krylov, reach_obs, sample_in_G0,
+                     io_equivalent, is_canonical, krylov, sample_in_G0,
                      self_dual_T, series_coefficient, similarity_between,
-                     twin_via_T, word_at)
-from bilinid.errors import (NotCanonical, NotCanonicalTriple, NotSimilar,
-                            ZeroS)
+                     twin_via_T)
+from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
+from bilinid.realization import _span
 
 from oracles import all_words, brute_coefficient, word_product, word_row
 
@@ -55,10 +54,6 @@ def _invariant_plane(seed):
 
 
 class TestWords:
-    def test_enumeration_is_length_then_lex(self):
-        words = [word_at(k, i) for k in range(3) for i in range(2 ** k)]
-        assert words == ["", "A", "N", "AA", "AN", "NA", "NN"]
-
     def test_coefficient_distinguishes_shift_pair(self):
         # c A N b differs between N = E11 (gives 0) and N = E22 (gives 1)
         assert series_coefficient(_shift_pair(E11), "AN") == 0.0
@@ -84,7 +79,8 @@ SPAN_IDS = ["shift", "plane", "random", "large"]
 
 class TestReachability:
     def test_linear_spaces_of_shift_pair(self):
-        R, O = reach_obs(_shift_pair(E11))
+        t = _shift_pair(E11)
+        R, O = krylov(t.A, t.b), krylov(t.A.T, t.c).T
         assert R.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert O.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -96,18 +92,19 @@ class TestReachability:
     def test_extended_reach_spans_the_words(self, t):
         words = all_words(t.n - 1)
         W = np.column_stack([word_product(t, w) for w in words])
-        assert _same_span(extended_reach(t), W)
+        assert _same_span(_span(t.A, t.N, t.b, t.n - 1).T, W)
 
     @pytest.mark.parametrize("t", SPAN_CASES, ids=SPAN_IDS)
     def test_extended_obs_spans_the_words(self, t):
         words = all_words(t.n - 1)
         W = np.column_stack([word_row(t, w) for w in words])
-        assert _same_span(extended_obs(t).T, W)
+        assert _same_span(_span(t.A.T, t.N.T, t.c, t.n - 1).T, W)
 
     def test_thirty_states_have_no_cap(self):
         n = 30
         t = _random_tuple(7, n=n, scale=1.0 / np.sqrt(n))
-        R, O = extended_reach(t), extended_obs(t)
+        R = _span(t.A, t.N, t.b, n - 1).T
+        O = _span(t.A.T, t.N.T, t.c, n - 1)
         # one block per length, each at most 4n wide
         assert R.shape[0] == O.shape[1] == n
         assert R.shape[1] <= 4 * n * n and O.shape[0] <= 4 * n * n
@@ -142,8 +139,7 @@ class TestReachability:
 
 
 def rank_deficient_linear(t):
-    R, _ = reach_obs(t)
-    return np.linalg.matrix_rank(R) < t.n
+    return np.linalg.matrix_rank(krylov(t.A, t.b)) < t.n
 
 
 class TestIoEquivalence:
@@ -405,22 +401,3 @@ class TestSelfDualT:
         with pytest.raises(NotCanonicalTriple):
             self_dual_T(A2, np.zeros(2), C2)
 
-
-class TestInB:
-    def test_membership_examples(self):
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert in_B(np.array([[0.0, 1.0], [0.0, 0.0]]), S)
-        assert not in_B(E11, S)
-
-    def test_zero_s_is_rejected(self):
-        with pytest.raises(ZeroS):
-            in_B(E11, np.zeros((2, 2)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10 ** 6), st.sampled_from([0.001, 0.1, 10.0, 1000.0]))
-    def test_scale_invariance(self, seed, factor):
-        rng = np.random.default_rng(seed)
-        N = rng.standard_normal((3, 3))
-        S = rng.standard_normal((3, 3))
-        S = S + S.T  # symmetric S keeps the test two-sided
-        assert in_B(N, S) == in_B(N, factor * S)

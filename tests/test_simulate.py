@@ -1,11 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (FourTuple, PiecewiseConstantInput, SampledSystem,
-                     constant_input, phi1, pulse_input, respond_pulse,
-                     sample_discrete, simulate)
+from bilinid import (FourTuple, PiecewiseConstantInput, constant_input, phi1,
+                     pulse_input, respond_pulse, sample_discrete, simulate)
 from bilinid.errors import GridOutOfRange, Overflow
 from bilinid.simulate import _march, _power_table
 
@@ -259,11 +260,11 @@ class TestSampled:
 
     def test_kind_ii_rejected(self):
         with pytest.raises(ValueError):
-            SampledSystem(_random_system(11, "II"), 1.0)
+            sample_discrete(_random_system(11, "II"), 1.0, [1.0])
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError):
-            SampledSystem(_random_system(12), 0.0)
+            sample_discrete(_random_system(12), 0.0, [1.0])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -281,25 +282,25 @@ class TestSampled:
 
     def test_long_train_matches_simulation(self, monkeypatch):
         # 100 levels cross several blocks of the march, and 0.0 and -0.0
-        # share one map of the recursion: each map is asked once, for three
-        # levels
+        # share one map of the recursion: expm and phi1 are each called
+        # once, on a stack of three levels
         asked = []
+        module = sys.modules["bilinid.simulate"]
 
-        def counted(method):
-            def wrapper(self, u):
-                asked.append((method.__name__, np.size(u)))
-                return method(self, u)
+        def counted(fn):
+            def wrapper(G, *args):
+                asked.append((fn.__name__, len(G)))
+                return fn(G, *args)
             return wrapper
 
-        for name in ("F_of_level", "g_of_level"):
-            monkeypatch.setattr(SampledSystem, name,
-                                counted(getattr(SampledSystem, name)))
+        for name in ("expm", "phi1"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         rng = np.random.default_rng(61)
         t = _random_system(62, "I", scale=0.5)
         tau = 0.375
         levels = rng.choice([-1.0, -0.0, 0.0, 1.0], size=100)
         samples = sample_discrete(t, tau, levels)
-        assert sorted(asked) == [("F_of_level", 3), ("g_of_level", 3)]
+        assert sorted(asked) == [("expm", 3), ("phi1", 3)]
         u = PiecewiseConstantInput(tau * np.arange(100), levels,
                                    100 * tau + 1.0)
         tr = simulate(t, u, tau * np.arange(1, 101), with_states=True)
