@@ -202,15 +202,20 @@ def criterion_3(rng, fail) -> str:
 
 @_criterion(4, "sampled-data counterexample pairs", 10.0, "sampled")
 def criterion_4(rng, fail) -> str:
-    """Sampled pairs: identical samples, distinct continuous outputs."""
+    """Sampled pairs: identical samples, each member run through its own
+    sampled recursion, and distinct continuous outputs."""
     worst_agree = 0.0
     min_disc = np.inf
     for i in range(10):
         t, _ = sample_in_B_alpha(1.0, rng)
         pair = sampled_pair(t, 1.0, 1.0)
-        worst_agree = max(worst_agree, pair.agreement_residual)
-        if pair.agreement_residual > 1e-9:
-            fail(f"#{i}: sampled agreement {pair.agreement_residual:.2e}")
+        # the samples of each member under the trains alpha^k 0^(10-k)
+        agree = max(abs(y1 - y2) for k in range(7) for (_, y1), (_, y2) in zip(
+            *(sample_discrete(m, 1.0, [1.0] * k + [0.0] * (10 - k))
+              for m in (pair.sigma, pair.sigma_hat))))
+        worst_agree = max(worst_agree, agree)
+        if agree > 1e-9:
+            fail(f"#{i}: sampled agreement {agree:.2e}")
         disc = _gap(pair, pair.distinguishing_input,
                     np.linspace(0.0, 3.0, 301))
         min_disc = min(min_disc, disc)

@@ -192,8 +192,13 @@ class InputClass:
 class CounterexamplePair:
     """Two systems that the given input class cannot distinguish, although
     they are not i/o equivalent. Carries both numeric certificates: the
-    agreement residual over the class's test inputs, and a distinguishing
-    word and/or input."""
+    agreement residual over the class, and a distinguishing word and/or
+    input. The agreement residual is the relative moment gap of the
+    constructors (counterex, realization._moment_gap): the worst gap of a
+    moment of the pair's difference system on a level of the class,
+    relative to the larger member's share, after a rounding allowance; 0
+    when no gap exceeds its allowance. It is scale-free, not an absolute
+    output gap."""
 
     sigma: FourTuple
     sigma_hat: FourTuple

@@ -21,6 +21,16 @@ The twin of N is M = T N' T^{-1}. It satisfies
 c (A+g N)^k b = c (A+g M)^k b for every scalar g and power k, which is what
 makes all single-constant-level probing blind to the swap, yet some longer
 word separates the two tuples.
+
+Every pair's agreement residual comes from one rule,
+realization._moment_gap: on each constant level of its class the members
+agree exactly when finitely many moments of the difference system do
+(Cayley-Hamilton), and the residual is the worst moment gap relative to
+the larger member's share. The levels are the pulse level from the start
+state and each trailing level from the pulse-end state, which the pair's
+one power table already holds; for the sampled class, the one-period step
+maps. The residual is scale-free; outputs are read from tables only for
+the distinguishing inputs.
 """
 
 import math
@@ -34,8 +44,9 @@ from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import _difference, _self_dual, io_equivalent, krylov
-from .simulate import _power_table, _pulse_peaks
+from .realization import (_difference, _moment_gap, _self_dual,
+                          io_equivalent, krylov)
+from .simulate import _generators, _power_table, _pulse_peaks, _start
 
 
 @dataclass(frozen=True)
@@ -161,10 +172,11 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     the G0 test (rho(Q) sigma.b = det(rho(Q)) b0, and the twin does not
     change when b is scaled); both are then rescaled to (tau, alpha). One
     power table of the difference system at delta = tau/100 gives both
-    certificates: the agreement residual, the largest output gap under the
-    class pulse at the 501 points j delta of [0, 5 tau], and the
-    distinguishing input, the single pulse of another width of
-    distinguishing_search (None when no width separates)."""
+    certificates (_pulse_certificates): the agreement residual, the
+    relative moment gap of the level alpha from the start state and of the
+    level 0 from the pulse-end state, and the distinguishing input, the
+    single pulse of another width of distinguishing_search (None when no
+    width separates)."""
     if tau <= 0 or alpha == 0:
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     T = _g0_T(seed, tol, {})
@@ -179,8 +191,7 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     sigma = rescale(sigma, tau, alpha)
     sigma_hat = rescale(sigma_hat, tau, alpha)
 
-    residual, u, gap = _pulse_certificates(
-        _difference(sigma, sigma_hat), tau, alpha, [(0.0, tau / 100)], 401)
+    residual, u, gap = _pulse_certificates(sigma, sigma_hat, tau, alpha, [0.0])
     _, word = io_equivalent(sigma, sigma_hat, tol)
     return CounterexamplePair(sigma, sigma_hat,
                               InputClass("single-pulse", tau, alpha),
@@ -196,28 +207,24 @@ def _witness_widths(tau):
     return k[k != 100] if tau else k
 
 
-def _class_outputs(Z, c, R, k, rows):
-    """Outputs of a power table's pulse of width k steps: c Z_j while it
-    lasts, then R[l, m] Z_k for the first rows steps m of each trailing
-    level l."""
-    return np.append(c @ Z[:k].T, R[:, :rows] @ Z[k])
-
-
-def _pulse_certificates(d, tau, alpha, trail=(), rows=0):
-    """From one power table of the difference system d with the pulse step
-    delta = s/100: the agreement residual, the largest |output| under the
-    class pulses (width tau, then each (level, step) of trail for rows
-    steps); the pulse of distinguishing_search, read on [0, 5s] with level
-    0 after it; and that pulse's largest gap."""
+def _pulse_certificates(s1, s2, tau, alpha, betas=()):
+    """From one power table of the difference system of s1 and s2 with the
+    pulse step delta = s/100: the agreement residual, the moment gap
+    (realization._moment_gap) of the level alpha from the start state and
+    of each level in betas from the pulse-end state, row tau/delta of the
+    table; the pulse of distinguishing_search, read on [0, 5s] with level 0
+    after it; and that pulse's largest gap."""
+    d = _difference(s1, s2)
     s = tau or 1.0
     delta = s / 100
-    Z, R = _power_table(d, alpha, delta, [(0.0, delta), *trail], 501)
+    Z, R = _power_table(d, alpha, delta, 501)
     k = _witness_widths(tau)
-    gap = _pulse_peaks(Z, R[0], k)
+    gap = _pulse_peaks(Z, R, k)
     best = int(np.argmax(gap))
-    y = _class_outputs(Z, R[0, 0], R[1:], round(tau / delta), rows)
-    return (float(np.max(np.abs(y), initial=0.0)),
-            pulse_input(k[best] * delta, alpha, 0.0, 5.0 * s + 1.0),
+    residual = _moment_gap(_generators(d, [alpha, *betas]),
+                           [Z[0]] + [Z[round(tau / delta)]] * len(betas),
+                           R[0], s1.n)
+    return (residual, pulse_input(k[best] * delta, alpha, 0.0, 5.0 * s + 1.0),
             float(gap[best]))
 
 
@@ -234,8 +241,7 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
     the difference system (_pulse_certificates), with no march, covers
     every width. Raises NoDistinguisherFound when no width separates the
     pair by more than agree_tol."""
-    _, u, gap = _pulse_certificates(_difference(pair.sigma, pair.sigma_hat),
-                                    tau, alpha)
+    _, u, gap = _pulse_certificates(pair.sigma, pair.sigma_hat, tau, alpha)
     if gap <= tol.agree_tol:
         raise NoDistinguisherFound(f"largest discrepancy {gap:.3e} over "
                                    f"the pulse widths")
@@ -263,14 +269,14 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     are not i/o equivalent. tau = 0 gives the constant-input class.
 
     The seed (P, N, b0, c) must lie in G0, and only the G0 test runs; its
-    T gives the twin M of N. One power table of the difference system
-    gives both certificates: the agreement residual, the largest output
-    gap over the trailing levels BETA_TEST_SET * max(1, |alpha|), read at
-    the points j delta of [0, tau) with delta = s/100 (s = tau, or 1 when
-    tau = 0) and at the 501 points tau + m/100 of [tau, tau + 5], so the
-    table has 501 rows whatever tau; and the distinguishing input, a
-    single pulse of amplitude alpha and a width other than tau, then 0,
-    from distinguishing_search (None when no width separates).
+    T gives the twin M of N. One power table of the difference system at
+    delta = s/100 (s = tau, or 1 when tau = 0) gives both certificates
+    (_pulse_certificates): the agreement residual, the relative moment gap
+    of the level alpha from the start state and of each trailing level
+    BETA_TEST_SET * max(1, |alpha|) from the pulse-end state; and the
+    distinguishing input, a single pulse of amplitude alpha and a width
+    other than tau, then 0, from distinguishing_search (None when no width
+    separates).
 
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
@@ -289,8 +295,7 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     sigma_hat = FourTuple(P - alpha * M, M, sigma.b, c, kind)
 
     residual, u, gap = _pulse_certificates(
-        _difference(sigma, sigma_hat), tau, alpha,
-        [(beta, 0.01) for beta in BETA_TEST_SET * max(1.0, abs(alpha))], 501)
+        sigma, sigma_hat, tau, alpha, BETA_TEST_SET * max(1.0, abs(alpha)))
     _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
     return CounterexamplePair(sigma, sigma_hat,
@@ -301,20 +306,16 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
 
 # -- fixed-rate sampling -------------------------------------------------------
 
-def _real_jordan_basis(G):
-    """Basis P with P^{-1} G P = [[r, -s], [s, r]], s > 0, from the
-    eigenvector v of the eigenvalue r + i s: P = [Re v, -Im v]. The sign of
-    v is fixed by making the first nonzero component of Re v positive."""
-    lam, vecs = np.linalg.eig(G)
-    i = int(np.argmax(lam.imag))
-    v = vecs[:, i]
-    v = v / np.linalg.norm(v)
-    vr, vi = v.real, v.imag
-    lead = np.flatnonzero(np.abs(vr) > 1e-12 * np.linalg.norm(vr))[0]
-    if vr[lead] < 0:
-        vr, vi = -vr, -vi
-    P = np.column_stack([vr, -vi])
-    return float(lam[i].real), float(lam[i].imag), P
+def _sampled_agreement(d, tau, alpha):
+    """The relative moment gap (realization._moment_gap) of a kind-I pair,
+    whose difference system is d, under the sampled recursion at period
+    tau: the step map E at the level alpha from the start state, and the
+    step map F at the level 0 from each E^k start, k below the order of
+    the maps, which covers every pulse train alpha^k 0^j."""
+    E, F = expm(tau * _generators(d, [alpha, 0.0]))
+    Z = [np.linalg.matrix_power(E, k) @ _start(d) for k in range(d.n + 1)]
+    return _moment_gap(np.array([E] + [F] * len(Z)), [Z[0]] + Z,
+                       np.append(d.c, 0.0), d.n // 2)
 
 
 def sampled_pair(t: FourTuple, tau: float, alpha: float,
@@ -325,15 +326,15 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     sampled transition and drive alias exactly), while the continuous-time
     responses to u = alpha differ.
 
-    Both certificates come from power tables of the difference system: the
-    sampled agreement at delta = tau, the largest of the 11 samples of the
-    pulses of widths 0 .. 6 tau (pulse trains alpha^k 0^(10-k) through the
-    sampled recursion); and the continuous separation at delta = 0.01,
-    under u = alpha at the 301 points of [0, 3].
+    The certificates come from the difference system: the sampled
+    agreement of _sampled_agreement, and the continuous separation from a
+    power table at delta = 0.01, under u = alpha at the 301 points of
+    [0, 3].
 
-    Writes A + alpha N in real Jordan form, shifts the rotation rate by
-    2*pi*l/tau via M = N + (l/alpha) L0, L0 = [[0, -2pi/tau],[2pi/tau, 0]],
-    and matches the drive with bhat = (A+alpha M)(A+alpha N)^{-1} b."""
+    With G = A + alpha N = r I + s J, s > 0 the imaginary part of its
+    eigenvalues (J is a quarter turn in G's real Jordan basis), shifts the
+    rotation rate by 2*pi*l/tau via M = N + (2 pi l/(alpha tau)) J, and
+    matches the drive with bhat = (A + alpha M) G^{-1} b."""
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
     if tau <= 0 or alpha == 0:
@@ -342,18 +343,13 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
         raise NotInBalpha("system must lie in B_alpha")
 
     G = t.A + alpha * t.N
-    r, s, P = _real_jordan_basis(G)
-    Pinv = np.linalg.inv(P)
-    A_j, N_j = Pinv @ t.A @ P, Pinv @ t.N @ P
-    b_j, c_j = Pinv @ t.b, t.c @ P
-    L0 = (2.0 * math.pi / tau) * np.array([[0.0, -1.0], [1.0, 0.0]])
+    (g11, g12), (g21, g22) = G
+    s = math.sqrt(-(g11 - g22) ** 2 / 4 - g12 * g21)
+    L = (2.0 * math.pi / tau) * (G - (g11 + g22) / 2 * np.eye(2)) / s
 
     def admissible(cand):
-        if abs(s + 2.0 * cand * math.pi / tau) <= tol.residual_tol:
-            return False
-        Gl = A_j + alpha * N_j + cand * L0
-        rr, oo = _linear_ranks(Gl, b_j, c_j, tol)
-        return rr == 2 and oo == 2
+        return (abs(s + 2.0 * cand * math.pi / tau) > tol.residual_tol
+                and _linear_ranks(G + cand * L, t.b, t.c, tol) == (2, 2))
 
     if l is None:
         for cand in (k * sgn for k in range(1, 51) for sgn in (1, -1)):
@@ -365,16 +361,15 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     elif l == 0 or not admissible(l):
         raise NoValidL(f"l={l} is not admissible")
 
-    M_j = N_j + (l / alpha) * L0
-    bhat_j = (A_j + alpha * M_j) @ np.linalg.solve(A_j + alpha * N_j, b_j)
-    sigma_hat = FourTuple(t.A, P @ M_j @ Pinv, P @ bhat_j, t.c, TYPE_I)
+    M = t.N + (l / alpha) * L
+    sigma_hat = FourTuple(t.A, M, (t.A + alpha * M) @ np.linalg.solve(G, t.b),
+                          t.c, TYPE_I)
     sigma = t.with_kind(TYPE_I)
 
     diff = _difference(sigma, sigma_hat)
-    Z, R = _power_table(diff, alpha, tau, [(0.0, tau)], 11)
-    residual = float(np.max(_pulse_peaks(Z, R[0], np.arange(7))))
-    Z, _ = _power_table(diff, alpha, 0.01, [], 301)
-    disc = float(np.max(np.abs(Z[:, :diff.n] @ diff.c)))
+    residual = _sampled_agreement(diff, tau, alpha)
+    Z, R = _power_table(diff, alpha, 0.01, 301)
+    disc = float(np.max(np.abs(Z @ R[0])))
     if disc <= tol.agree_tol:
         raise NoDistinguisherFound(
             f"constant input failed to separate the pair (max gap {disc:.3e})"

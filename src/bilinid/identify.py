@@ -89,8 +89,9 @@ class IdentifyConfig:
     n_max: int = 8
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if type(self.n_max) is not int or self.n_max < 1:
+            raise ValueError(f"n_max must be an int of at least 1, got "
+                             f"{self.n_max!r}")
 
 
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:

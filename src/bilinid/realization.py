@@ -57,6 +57,7 @@ from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
 
 # rounding allowance per matrix product and state
 _ROUND = 8 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def series_coefficient(t: FourTuple, word: str) -> float:
@@ -171,6 +172,30 @@ def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
         if _norm(Z @ r) > tol.residual_tol * size + err[k]:
             return False, _lex_first(r, layers[:k], err, A, N, tol)
     return True, None
+
+
+def _moment_gap(G, Z, c, n1):
+    """The agreement residual of a pair on the levels of an input class:
+    level l runs the pair's difference system with generator (or step map)
+    G[l] from the state Z[l], and its output row c = [c1, -c2] (padded)
+    reads y1 - y2. By Cayley-Hamilton the members agree on level l exactly
+    when c G^k z = 0 for k < m, the order of G. Each unit-scaled Krylov
+    vector (G/||G||)^k z/||z|| is judged as io_equivalent judges a length:
+    the gap less its rounding allowance, relative to the larger member
+    share (the first n1 states are the first member's). Returns the worst
+    ratio; 0 when every gap is within its allowance."""
+    m = G.shape[-1]
+    G = np.array([_unit(g)[0] for g in G])
+    K = [np.array([_unit(z)[0] for z in Z])]
+    for _ in range(1, m):
+        K.append((G @ K[-1][:, :, None])[:, :, 0])
+    r, _ = _unit(c)
+    K = np.array(K)
+    y1, y2 = K[..., :n1] @ r[:n1], K[..., n1:] @ r[n1:]
+    size = np.maximum(np.abs(y1), np.abs(y2))
+    # a zero share has a zero gap, so its ratio is below 0 and drops out
+    gap = np.abs(y1 + y2) - _ROUND * m * np.arange(1, m + 1)[:, None]
+    return max(0.0, float(np.max(gap / np.maximum(size, _TINY))))
 
 
 def _lex_first(r, layers, err, A, N, tol):

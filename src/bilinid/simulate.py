@@ -23,13 +23,16 @@ g(u) = phi1(A + uN, tau) b, which it forms itself, and shares no code with
 the march or the power table: comparing the two checks one construction
 against another.
 
-Pulses of one amplitude on a uniform grid need no march at all: every such
-output is a power of two one-step maps, read from one table
-(_power_table), and _pulse_peaks reduces the table to the largest output
-of each pulse width. The table is filled by repeated squaring, not one
-step at a time: rows p .. 2p-1 are rows 0 .. p-1 times the p-th power of
-the maps. A state that leaves the representable range raises Overflow
-instead of giving outputs.
+A pulse of amplitude alpha followed by the level 0, on a uniform grid,
+needs no march at all: every such output is c F^i E^j z0 for the one-step
+maps E (level alpha) and F (level 0), read from one table (_power_table),
+and _pulse_peaks reduces the table to the largest output of each pulse
+width. The counterexample pairs read their pulse of another width and
+their pulse-end state from it; whether a pair agrees is not read from
+outputs at all, but decided by realization._moment_gap. The table is
+filled by repeated squaring, not one step at a time: rows p .. 2p-1 are
+rows 0 .. p-1 times the p-th power of the maps. A state that leaves the
+representable range raises Overflow instead of giving outputs.
 """
 
 import numpy as np
@@ -129,25 +132,20 @@ def respond_pulse(t: FourTuple, tau: float, alpha: float, beta: float, grid,
     return simulate(t, pulse_input(tau, alpha, beta, horizon), grid, with_states)
 
 
-def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
-    """Z_j = E^j z0 and R[l, j] = c F_l^j for j < points, where E steps the
-    state by delta at the level alpha and F_l by h_l at the level beta_l of
-    trail = [(beta_l, h_l), ...]; z0 and c are the start state and output
-    row of simulate (in the homogeneous form [x; 1] for kind I). Repeated
-    (level, step) pairs share one map. One stacked expm gives the maps P =
-    (E', F_1 .. F_L), and the rows come by repeated squaring: rows p .. 2p-1
-    are rows 0 .. p-1 times P^p, for p = 1, 2, 4, ..., so about log2(points)
-    batched products fill the table and no power past the last needed one
-    is formed."""
-    keys, which = np.unique([beta + 1j * h for beta, h in trail],
-                            return_inverse=True)
-    P = expm(np.append(delta, keys.imag)[:, None, None]
-             * _generators(t, np.append(alpha, keys.real)))
+def _power_table(t: FourTuple, alpha: float, delta: float, points):
+    """Z_j = E^j z0 and R_j = c F^j for j < points, where E and F step the
+    state by delta at the levels alpha and 0; z0 and c are the start state
+    and output row of simulate (in the homogeneous form [x; 1] for kind
+    I). One stacked expm gives the maps P = (E', F), and the rows come by
+    repeated squaring: rows p .. 2p-1 are rows 0 .. p-1 times P^p, for
+    p = 1, 2, 4, ..., so about log2(points) batched products fill the
+    table and no power past the last needed one is formed."""
+    P = expm(delta * _generators(t, [alpha, 0.0]))
     P[0] = P[0].T
     m = P.shape[-1]
-    W = np.empty((len(P), points, m))
+    W = np.empty((2, points, m))
     W[0, 0] = _start(t)
-    W[1:, 0] = np.pad(t.c, (0, m - t.n))
+    W[1, 0] = np.pad(t.c, (0, m - t.n))
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < points:
@@ -156,13 +154,12 @@ def _power_table(t: FourTuple, alpha: float, delta: float, trail, points):
                 P = P @ P
             p *= 2
     _finite(W)
-    return W[0], W[1:][which]
+    return W[0], W[1]
 
 
 def _pulse_peaks(Z, R, k):
     """The largest |output| at the times j delta of the table's pulse of
-    width k[i] delta (k an integer array) followed by the trailing level
-    whose rows are R (one level of the table, stepped by delta): the
+    width k[i] delta (k an integer array) followed by the level 0: the
     running maximum of |c Z_j| while the pulse lasts (c = R_0; none for
     width 0), against that of |R_m Z_k| over the len(Z) - k rows after
     it."""

@@ -10,9 +10,9 @@ from bilinid import (DEFAULT_TOL, TYPE_I, TYPE_II, CounterexamplePair,
                      sample_in_C, sample_in_G0, sample_in_M, sampled_pair,
                      self_dual_T, simulate, single_pulse_pair, twin_via_T)
 from bilinid import counterex, realization
-from bilinid.counterex import (BETA_TEST_SET, _class_outputs,
-                               _witness_widths, distinguishing_search,
-                               gaussian_tuple)
+from bilinid.counterex import (BETA_TEST_SET, _pulse_certificates,
+                               _sampled_agreement, _witness_widths,
+                               distinguishing_search, gaussian_tuple)
 from bilinid.realization import _difference, krylov
 from bilinid.simulate import _power_table, _pulse_peaks
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
@@ -397,9 +397,9 @@ def _family_pair(seed_int, kind, tau, n=2):
 
 def _width_table(Z, R, k):
     """The outputs y[i, j] at the times j delta of the table's pulse of
-    width k[i] steps followed by the level whose rows are R, entry by entry
-    from the definition: c Z_j while the pulse lasts (c = R_0), R_{j-k} Z_k
-    after it. The products are formed as _pulse_peaks forms them."""
+    width k[i] steps followed by the level 0, entry by entry from the
+    definition: c Z_j while the pulse lasts (c = R_0), R_{j-k} Z_k after
+    it. The products are formed as _pulse_peaks forms them."""
     k = list(k)
     front, tail = R[0] @ Z.T, R @ Z[k].T
     return np.array([[front[j] if j < w else tail[j - w, i]
@@ -420,19 +420,20 @@ class TestDistinguishingSearch:
         ("constants-I", 2, 0.0, 1.0), ("family", 12, 2.0, 1.0)])
     def test_width_table_matches_a_march_scan(self, case):
         # the power table against respond_pulse at the same times: every
-        # witness width (trailing level 0) on [0, 5s] at delta = s/100,
-        # then every trailing level of the agreement window (the front at
-        # delta, then the trailing steps), which at tau = 2 ends before 5s
+        # witness width (trailing level 0) on [0, 5s] at delta = s/100; its
+        # row at the pulse end is the state the trailing levels of the
+        # agreement start from; and the members, each simulated on its
+        # own, agree under every class input
         kind, seed_int, tau, alpha = case
         s = tau or 1.0
         delta = s / 100
         if kind == "single":
             pair = single_pulse_pair(_c_seed(seed_int, 3), tau, alpha)
-            h, rows, betas = delta, 401, [0.0]
+            betas = [0.0]
         else:
             pair = _family_pair(seed_int, TYPE_I if kind == "constants-I"
                                 else TYPE_II, tau, n=3)
-            h, rows, betas = 0.01, 501, BETA_TEST_SET * max(1.0, abs(alpha))
+            betas = BETA_TEST_SET * max(1.0, abs(alpha))
         d = _difference(pair.sigma, pair.sigma_hat)
 
         def scan(inputs, grid):
@@ -446,11 +447,11 @@ class TestDistinguishingSearch:
         assert not np.any(np.isclose(k * delta, tau))
         march, y1, y2 = scan([(w, 0.0) for w in k * delta],
                              delta * np.arange(501))
-        Z, R = _power_table(d, alpha, delta, [(0.0, delta)], 501)
-        y = _width_table(Z, R[0], k)
+        Z, R = _power_table(d, alpha, delta, 501)
+        y = _width_table(Z, R, k)
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - march)) <= 1e-12 * scale
-        peaks = _pulse_peaks(Z, R[0], k)
+        peaks = _pulse_peaks(Z, R, k)
         assert np.array_equal(peaks, np.max(np.abs(y), axis=1))
         best = int(np.argmax(np.max(np.abs(march), axis=1)))
         assert int(np.argmax(peaks)) == best
@@ -460,24 +461,21 @@ class TestDistinguishingSearch:
         assert pair.distinguishing_input.breakpoints.tolist() == \
             u.breakpoints.tolist()
 
-        front = round(tau / delta)
-        march, y1, y2 = scan([(tau, beta) for beta in betas],
-                             np.append(delta * np.arange(front),
-                                       tau + h * np.arange(rows)))
-        Z, R = _power_table(d, alpha, delta, [(b, h) for b in betas], 501)
-        y = _class_outputs(Z, R[0, 0], R, front, rows)
-        march = np.append(march[0, :front], march[:, front:])
+        end = respond_pulse(d, tau, alpha, 0.0, [tau], with_states=True)
+        assert np.max(np.abs(Z[round(tau / delta), :d.n] - end.states[0])) \
+            <= 1e-12 * np.max(np.abs(Z[:, :d.n]))
+        _, y1, y2 = scan([(tau, beta) for beta in betas],
+                         np.linspace(0.0, tau + 5.0 * s, 301))
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
-        assert np.max(np.abs(y - march)) <= 1e-12 * scale
-        assert pair.agreement_residual == pytest.approx(
-            np.max(np.abs(march)), abs=1e-12 * scale)
+        assert np.max(np.abs(y1 - y2)) <= 1e-11 * scale
+        assert pair.agreement_residual <= 1e-10
 
     @pytest.mark.parametrize("tau", [1e-3, 2000.0])
     def test_family_table_size_does_not_follow_tau(self, tau, monkeypatch):
-        # the pair's one table has 501 rows whatever tau: the front at
-        # tau/100, each trailing level at 0.01 over [tau, tau + 5]; on a
-        # member, whose outputs do not cancel, its agreement rows match
-        # respond_pulse at those times for every trailing level
+        # the pair's one table has 501 rows at delta = tau/100 whatever tau;
+        # on a member, whose outputs do not cancel, its rows match
+        # respond_pulse, and the members agree on every trailing level over
+        # [tau, tau + 5] when each is simulated on its own
         calls = []
 
         def spy(t, *args):
@@ -490,24 +488,27 @@ class TestDistinguishingSearch:
                          [[0.3, -0.2], [0.1, 0.4]], [1.0, 0.3], [0.7, -0.4],
                          TYPE_II)
         pair = pulse_family_pair(seed, tau, 1.0)
-        (alpha, delta, trail, points), = calls
-        assert points == 501 and len(trail) == 8
-        assert delta == tau / 100
-        assert [h for _, h in trail[1:]] == [0.01] * 7
-        Z, R = _power_table(pair.sigma, alpha, delta, trail, points)
-        y = _class_outputs(Z, R[0, 0], R[1:], 100, 501)
-        grid = np.append(delta * np.arange(100), tau + 0.01 * np.arange(501))
-        march = np.array([respond_pulse(pair.sigma, tau, 1.0, b, grid).outputs
-                          for b in BETA_TEST_SET])
+        (alpha, delta, points), = calls
+        assert (alpha, delta, points) == (1.0, tau / 100, 501)
+        Z, R = _power_table(pair.sigma, alpha, delta, points)
+        y = _width_table(Z, R, [100])[0]
+        march = respond_pulse(pair.sigma, tau, 1.0, 0.0,
+                              delta * np.arange(501)).outputs
         assert np.max(np.abs(march)) > 0.1
-        assert np.allclose(y, np.append(march[0, :100], march[:, 100:]),
-                           rtol=1e-9, atol=1e-9 * np.max(np.abs(march)))
+        assert np.allclose(y, march, rtol=1e-9,
+                           atol=1e-9 * np.max(np.abs(march)))
+        grid = np.append(delta * np.arange(100), tau + 0.01 * np.arange(501))
+        y1, y2 = (np.array([respond_pulse(m, tau, 1.0, b, grid).outputs
+                            for b in BETA_TEST_SET])
+                  for m in (pair.sigma, pair.sigma_hat))
+        scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
+        assert np.max(np.abs(y1 - y2)) <= 1e-11 * scale
         assert pair.agreement_residual < 1e-9
 
     @pytest.mark.parametrize("seed_int", [4, 5])
     def test_train_table_matches_the_sampled_recursion(self, seed_int):
-        # the table at delta = tau reads the pulse trains
-        # alpha^k 0^(10 - k) of sampled_pair's agreement
+        # the table at delta = tau reads the pulse trains alpha^k 0^(10 - k)
+        # of the sampled recursion, and the members' samples agree on them
         t, _ = sample_in_B_alpha(1.0, np.random.default_rng(seed_int))
         pair = sampled_pair(t, 1.0, 1.0)
         d = _difference(pair.sigma, pair.sigma_hat)
@@ -516,14 +517,14 @@ class TestDistinguishingSearch:
                                                      + [0.0] * (10 - k))]
                       for k in range(7)])
             for m in (d, pair.sigma, pair.sigma_hat))
-        Z, R = _power_table(d, 1.0, 1.0, [(0.0, 1.0)], 11)
-        y = _width_table(Z, R[0], range(7))
+        Z, R = _power_table(d, 1.0, 1.0, 11)
+        y = _width_table(Z, R, range(7))
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y - recursion)) <= 1e-12 * scale
-        assert np.array_equal(_pulse_peaks(Z, R[0], np.arange(7)),
+        assert np.array_equal(_pulse_peaks(Z, R, np.arange(7)),
                               np.max(np.abs(y), axis=1))
-        assert pair.agreement_residual == pytest.approx(
-            np.max(np.abs(recursion)), abs=1e-12 * scale)
+        assert np.max(np.abs(y1 - y2)) <= 1e-12 * scale
+        assert pair.agreement_residual <= 1e-10
 
     @pytest.mark.parametrize("kind, tau", [(TYPE_II, 1.0), (TYPE_II, 0.0),
                                            (TYPE_I, 0.0)])
@@ -596,6 +597,59 @@ class TestSampledPair:
             sampled_pair(ROTOR, -1.0, 1.0)
         with pytest.raises(DegenerateRescale):
             sampled_pair(ROTOR, 1.0, 0.0)
+
+
+class TestMomentAgreement:
+    """Every pair's agreement residual is the relative moment gap of its
+    difference system: draws of any growth and scale agree to rounding,
+    and a partner 1e-6 off, relative, is reported."""
+
+    @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (0.3, -1.0)])
+    def test_unfiltered_single_pulse_pairs(self, tau, alpha):
+        for s in range(60):
+            seed, _ = sample_in_C(2 + s % 2, np.random.default_rng(1000 + s))
+            pair = single_pulse_pair(seed, tau, alpha)
+            assert pair.agreement_residual <= 1e-10
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_unfiltered_family_pairs(self, tau):
+        for s in range(60):
+            seed, _ = sample_in_G0(2 + s % 2, np.random.default_rng(1000 + s),
+                                   kind=TYPE_II)
+            assert pulse_family_pair(seed, tau, 1.0).agreement_residual <= 1e-10
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    def test_unfiltered_sampled_pairs(self, scale):
+        for s in range(40):
+            t, _ = sample_in_B_alpha(1.0, np.random.default_rng(s),
+                                     scale=scale)
+            assert sampled_pair(t, 1.0, 1.0).agreement_residual <= 1e-10
+
+    def test_perturbed_partners_are_reported(self):
+        # the rule gives each constructor's own residual, and a partner
+        # whose N or b is off by 1e-6, relative, fails it
+        tol = DEFAULT_TOL.residual_tol
+        seed, _ = sample_in_C(2, np.random.default_rng(1000))
+        pair = single_pulse_pair(seed, 1.0, 1.0)
+        h = pair.sigma_hat
+        gap = [_pulse_certificates(pair.sigma, m, 1.0, 1.0, [0.0])[0]
+               for m in (h, FourTuple(h.A, h.N * (1 + 1e-6), h.b, h.c))]
+        assert gap[0] == pair.agreement_residual and gap[1] > tol
+
+        seed, _ = sample_in_G0(2, np.random.default_rng(1000), kind=TYPE_II)
+        pair = pulse_family_pair(seed, 1.0, 1.0)
+        h = pair.sigma_hat
+        gap = [_pulse_certificates(pair.sigma, m, 1.0, 1.0, BETA_TEST_SET)[0]
+               for m in (h, FourTuple(h.A, h.N, h.b * (1 + 1e-6), h.c,
+                                      TYPE_II))]
+        assert gap[0] == pair.agreement_residual and gap[1] > tol
+
+        t, _ = sample_in_B_alpha(1.0, np.random.default_rng(0))
+        pair = sampled_pair(t, 1.0, 1.0)
+        h = pair.sigma_hat
+        gap = [_sampled_agreement(_difference(pair.sigma, m), 1.0, 1.0)
+               for m in (h, FourTuple(h.A, h.N, h.b * (1 + 1e-6), h.c))]
+        assert gap[0] == pair.agreement_residual and gap[1] > tol
 
 
 class TestSamplers:

@@ -178,10 +178,11 @@ class TestIdentify:
             identify(warped, IdentifyConfig(n_max=4),
                      rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n_max", [-1, 0])
+    @pytest.mark.parametrize("n_max", [-1, 0, 2.5, True, "3"])
     def test_order_bound_below_one_is_rejected(self, n_max):
         # n_max = 0 leaves a 1 x 1 Hankel with no rank gap to find, and
-        # n_max < 0 an empty one
+        # n_max < 0 an empty one; an order that is not an int (a bool
+        # included) is no order at all, and 2.5 used to reach an index
         with pytest.raises(ValueError, match="n_max"):
             IdentifyConfig(n_max=n_max)
 

@@ -211,17 +211,18 @@ def _table_by_steps(t, alpha, delta, trail, points):
 class TestPowerTable:
     @pytest.mark.parametrize("points", [1, 2, 11, 301, 501])
     @pytest.mark.parametrize("kind", ["I", "II"])
-    @pytest.mark.parametrize("trail", [[], [(0.0, 0.01), (0.8, 0.02),
-                                            (0.0, 0.01), (0.8, 0.02),
-                                            (0.8, 0.01)]])
+    @pytest.mark.parametrize("trail", [[(0.0, 0.01)], [(0.0, 0.02)]])
     def test_squared_rows_match_a_row_by_row_loop(self, points, kind, trail):
         # rows p .. 2p-1 come from rows 0 .. p-1 times the p-th power; every
-        # row stays within 1e-12 of its own scale of one matvec per step
+        # row stays within 1e-12 of its own scale of one matvec per step.
+        # The table steps the level 1.3 and the level 0 by one delta, so the
+        # loop's one trailing level is 0 at that step
         t = _random_system(41, kind)
-        Z, R = _power_table(t, 1.3, 0.01, trail, points)
-        Z0, R0 = _table_by_steps(t, 1.3, 0.01, trail, points)
-        assert Z.shape == Z0.shape and R.shape == R0.shape
-        assert len(Z) == points and R.shape[:2] == (len(trail), points)
+        (_, delta), = trail
+        Z, R = _power_table(t, 1.3, delta, points)
+        Z0, (R0,) = _table_by_steps(t, 1.3, delta, trail, points)
+        assert Z.shape == Z0.shape == R.shape == R0.shape
+        assert len(Z) == points
         for got, ref in ((Z, Z0), (R, R0)):
             scale = np.max(np.abs(ref), axis=-1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
@@ -231,10 +232,10 @@ class TestPowerTable:
         # e^{2.3 * 256}; the next square e^{2.3 * 512} would overflow, and
         # no row needs it, so the table must neither raise nor lose a row
         t = FourTuple([[2.3]], [[0.0]], [1.0], [1.0], "II")
-        Z, R = _power_table(t, 0.0, 1.0, [(0.0, 1.0)], 300)
+        Z, R = _power_table(t, 0.0, 1.0, 300)
         expect = np.exp(2.3 * np.arange(300))
         assert np.allclose(Z[:, 0], expect, rtol=1e-12, atol=0.0)
-        assert np.allclose(R[0, :, 0], expect, rtol=1e-12, atol=0.0)
+        assert np.allclose(R[:, 0], expect, rtol=1e-12, atol=0.0)
 
     def test_overflowing_power_of_an_unexcited_mode_raises(self):
         # the start state never excites the e^{20} mode, so every row is
@@ -242,7 +243,7 @@ class TestPowerTable:
         t = FourTuple([[-1.0, 0.0], [0.0, 20.0]], np.zeros((2, 2)),
                       [1.0, 0.0], [1.0, 0.0], "II")
         with pytest.raises(Overflow):
-            _power_table(t, 0.0, 1.0, [], 501)
+            _power_table(t, 0.0, 1.0, 501)
 
 
 class TestSampled:
