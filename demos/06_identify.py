@@ -34,7 +34,7 @@ model = result.tuple
 print(f"\nidentified order: {result.n_identified}")
 print(f"  A = {np.round(model.A, 6).tolist()}")
 print(f"  N = {np.round(model.N, 6).tolist()}")
-print(f"regression residual: {result.diagnostics['fit_residual']:.2e}")
+print(f"width-shift residual: {result.diagnostics['fit_residual']:.2e}")
 
 loose = Tolerances(residual_tol=1e-5)
 same, _ = io_equivalent(truth, model, tol=loose)

@@ -1,38 +1,39 @@
 """Identification of a bilinear system from its responses to pulses of a
-fixed amplitude alpha and varying width tau.
+fixed amplitude alpha and varying width.
 
-The pipeline rests on two facts about the pulse response. After the pulse
-ends the system coasts: y(tau + s) = c e^{As} x(tau), so (A, c) and the
-states x(tau) are recoverable by linear realization (Hankel SVD, then
-least squares through the observability map). And the end-of-pulse state
-obeys an exact transition in the width: with G = A + alpha N,
+After a pulse of width w ends the system coasts, y(w + s) = c e^{As} x(w),
+and the end-of-pulse state follows the pulse level's generator
+G = A + alpha N in the width. So one record of widths k delta and offsets
+j h reads Y[j, k] = c e^{A j h} x(k delta), and for kind II
+x(k delta) = e^{G k delta} b: Y[j, k] = c F^j E^k b with F = e^{Ah} and
+E = e^{G delta}. For kind I x(0) = 0 and the recursion is affine, but the
+column differences x((k + 1) delta) - x(k delta) = E^k x(delta) have the
+same shape. One SVD of the m x m block H0 = U diag(s) V' fixes the order n
+(the cut at rank_tol and a gap of 10) and factors H0 into an observability
+part U_n diag(r) and a state part diag(r) V_n', r = sqrt(s_1..s_n)
+(Ho-Kalman). The block one row down gives F, the block one column right
+gives E, each as (U_n' H1 V_n) / (r r'): ERA with a second shift direction
+(Juang and Pappa 1985; Juang 2005). c is the first row of the observability
+part, and the first state is b (kind II) or x(delta) (kind I). The
+principal logarithm of F over h gives A, that of E over delta gives G; for
+kind I the augmented [[E, x(delta)], [0, 1]] is Van Loan's block
+expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b.
+Then N = (G - A)/alpha.
 
-    kind I:  x(tau + delta) = e^{G delta} x(tau) + alpha phi1(G, delta) b
-    kind II: x(tau + delta) = e^{G delta} x(tau).
+A row shift that leaves the span of H0 means pulse-end states short of the
+order (NotCanonicalResult); a column shift that leaves it means widths that
+follow no flow (PoorFit); both relative residuals are reported. A rotation
+by more than pi per step fits every grid sample but comes back folded by
+the principal branch, and one by pi lies on its cut, so the record also
+holds the width tau0 and the offset tau0, off both grids (tau0 is random):
+h = delta is halved while the tau0 column leaves the span of H0 or either
+flow misses the tau0 samples (Aliased), or a logarithm meets the cut. Each
+miss is judged relative to the largest sample, whatever the output scale.
 
-So the states on the grid tau_k = k delta are regressed on their
-predecessors (on [x; 1] for kind I) by least squares, and one principal
-logarithm of the fitted transition over delta gives G; for kind I the
-augmented transition [[F, g], [0, 1]] is Van Loan's block
-expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b,
-while kind II reads b = x(0). Then N = (G - A)/alpha. This is the
-realization step applied twice, and it is exact up to the accuracy of the
-matrix exponential and logarithm. Either logarithm needs its transition
-off the negative real axis, so the coast step h (which starts at the
-constant H) and delta are halved until it is. Both are also checked off
-their grids, where a rotation by more than pi per step, folded back by
-the principal branch, misses: h is halved until the realized coast
-predicts one extra sample y(2 tau0), tau0 after the pulse ends, and delta
-until the fitted flow reaches the state the realization gives at the
-off-grid width tau0. Both misses are judged relative to the scale of the
-samples they fit, whatever the output scale.
-
-The oracle is read in whole experiments: a design of pulse widths and
-offsets after the pulse end gives the record Y[j, k] = y(w_k + s_j) under
-the pulse of width w_k. The realization reads one record (width tau0,
-offsets j h and tau0), the state recovery one design (the delta-grid
-widths, offsets j h). An oracle that only answers scalars is read one
-sample at a time (_records), with the same answers.
+An oracle that only answers scalars is read one sample at a time
+(_records), with the same answers. realize_free_response (the coast at one
+width) and recover_states (states through the observability map) are the
+stages of an earlier two-stage pipeline; identify does not call them.
 """
 
 from dataclasses import dataclass
@@ -71,20 +72,18 @@ class IdentificationResult:
     diagnostics: dict
 
 
-# The delta-grid spans TAU_SPAN; tau0 is drawn from [TAU0_LOW, TAU0_HIGH);
-# the coast step starts at H and is halved from there.
-TAU_SPAN = 2.0
+# The coast step h and the width step delta both start at H and are halved
+# together; tau0 is drawn from [TAU0_LOW, TAU0_HIGH) for each attempt.
 H = 0.2
 TAU0_LOW = 0.5
 TAU0_HIGH = 1.5
-MAX_TAU0_DRAWS = 8
-MAX_H_HALVINGS = 6  # bounds the h and, apart, the delta halvings
+MAX_HALVINGS = 6
 
 
 @dataclass(frozen=True)
 class IdentifyConfig:
     """n_max bounds the identified order; the Hankel matrix is
-    (n_max + 1) square. The coast step is not a setting: it starts at H."""
+    (n_max + 1) square. The steps are not settings: both start at H."""
 
     n_max: int = 8
 
@@ -211,81 +210,90 @@ def _halving(step: float, halvings: int, attempt):
     return attempt(step)
 
 
-def _realize_with_retries(oracle, m, rng, tol):
-    def at(h):
-        for draw in range(MAX_TAU0_DRAWS):
-            tau0 = float(rng.uniform(TAU0_LOW, TAU0_HIGH))
-            try:
-                return (*realize_free_response(oracle, tau0, h, m, tol), tau0, h)
-            except OrderAmbiguous:
-                if draw + 1 == MAX_TAU0_DRAWS:
-                    raise
-
-    return _halving(H, MAX_H_HALVINGS, at)
+def _shift(H1, Un, Vn, root):
+    """The Ho-Kalman shift (Un' H1 Vn) / (r r') and how far H1 lies off the
+    column and row spaces of H0, relative to H1."""
+    P = Un.T @ H1 @ Vn
+    res = np.linalg.norm(H1 - Un @ P @ Vn.T) / np.linalg.norm(H1)
+    return P / np.outer(root, root), float(res)
 
 
-def _width_transition(oracle, A, c, h, m, x_tau0, tau0, delta, K, tol):
-    """States x(k delta), k = 0..K, and the logarithm over delta of the
-    transition that carries each to the next (augmented by [0, 1] for
-    kind I, whose regressors are [x; 1]). The flow of that logarithm must
-    also reach x_tau0, the state at the off-grid width tau0."""
-    X, state_res = recover_states(oracle, A, c, delta * np.arange(K + 1), h, m, tol)
-    Z, z = X, x_tau0
-    if oracle.kind == TYPE_I:
-        Z, z = np.column_stack([X, np.ones(K + 1)]), np.append(x_tau0, 1.0)
-    Z0, X1 = Z[:-1], X[1:]
-    d = Z0.shape[1]
-    r = rank_of(Z0, tol)
-    if r < d:
-        if rank_of(np.vstack([Z0, z]), tol) == r:
-            raise NotCanonicalResult(
-                f"pulse-end states span {r} of {d} regressor dimensions")
-        raise Aliased(f"states on the delta-grid span {r} of {d} regressor "
-                      f"dimensions, the state at tau0 one more")
-    # rows: x(tau_{k+1})' = [x(tau_k); 1]' F'
-    Ft, *_ = np.linalg.lstsq(Z0, X1, rcond=None)
-    scale = float(np.linalg.norm(X1))
-    fit = float(np.linalg.norm(Z0 @ Ft - X1)) / scale
-    if fit > 1e-5:
-        raise PoorFit(f"width-transition regression residual {fit:.3e}")
-    F = Ft.T
-    if oracle.kind == TYPE_I:
-        F = np.vstack([F, np.eye(1, d, d - 1)])
-    L, (flow,) = _logm_flows(F, [tau0 / delta])
-    L = L / delta
-    # a rotation by more than pi per delta fits the grid exactly but comes
-    # back folded into (-pi, pi); between grid points the flow then misses
-    reached = (flow @ Z[0])[:X.shape[1]]
-    miss = float(np.linalg.norm(reached - x_tau0)) / scale
+def _joint(oracle, m, step, tau0, tol):
+    """One attempt at h = delta = step: one record, one SVD of its Hankel
+    H0, both shifts and both off-grid checks. Returns (A, G, b, c) and the
+    diagnostics."""
+    kind_i = oracle.kind == TYPE_I
+    Y = _records(oracle, np.append(step * np.arange(m + 1 + kind_i), tau0),
+                 np.append(step * np.arange(m + 1), tau0))
+    scale = float(np.max(np.abs(Y)))
+    if scale <= 1e-300:
+        raise OrderAmbiguous("response is identically zero")
+    y_tau0 = Y[:m, -1]
+    Z = np.diff(Y[:, :-1], axis=1) if kind_i else Y[:, :-1]
+    U, s, Vh = np.linalg.svd(Z[:m, :m])
+    # a grid that the tau0 samples swamp holds no direction
+    n = (int(np.count_nonzero(s > tol.rank_tol * s[0]))
+         if s[0] > tol.rank_tol * scale else 0)
+    Un = U[:, :n]
+    off = float(np.linalg.norm(y_tau0 - Un @ (Un.T @ y_tau0))) / scale
+    if off > 1e-5:
+        raise Aliased(f"the state at width tau0 leaves the {n} dimensions "
+                      f"the delta-grid spans by {off:.3e}")
+    if n == 0:
+        raise OrderAmbiguous("response vanishes on the grid")
+    if n == m:
+        raise OrderAmbiguous(f"no rank gap within Hankel size {m}")
+    if s[n] > 0 and s[n - 1] / s[n] < 10.0:
+        raise OrderAmbiguous(
+            f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}"
+        )
+    root, Vn = np.sqrt(s[:n]), Vh[:n, :].T
+    F_d, state_res = _shift(Z[1:m + 1, :m], Un, Vn, root)
+    if not state_res <= 1e-5:
+        raise NotCanonicalResult(
+            f"the coast shift leaves the span of the pulse-end states by "
+            f"{state_res:.3e}")
+    E_d, fit = _shift(Z[:m, 1:m + 1], Un, Vn, root)
+    if not fit <= 1e-5:
+        raise PoorFit(f"width-shift residual {fit:.3e}")
+    # the observability and state parts; c and the first state lead them
+    Gam, X = Un * root, root[:, None] * Vn.T
+    c, x0 = Gam[0], X[:, 0]
+    L, (flow,) = _logm_flows(F_d, [tau0 / step])
+    A = L / step
+    miss = float(np.linalg.norm(c @ flow @ X - Z[-1, :m])) / scale
     if miss > 1e-5:
-        raise Aliased(f"the fitted flow misses the state at tau0 by {miss:.3e}")
-    return L, X[0], fit, state_res, delta
+        raise Aliased(f"the coast misses the samples tau0 after the pulse "
+                      f"ends by {miss:.3e}")
+    if kind_i:
+        E_d = np.block([[E_d, x0[:, None]], [np.zeros(n), 1.0]])
+    L, (flow,) = _logm_flows(E_d, [tau0 / step])
+    L = L / step
+    x_tau0 = flow[:n, n] if kind_i else flow @ x0
+    miss = float(np.linalg.norm(Gam @ x_tau0 - y_tau0)) / scale
+    if miss > 1e-5:
+        raise Aliased(f"the width flow misses the state at tau0 by {miss:.3e}")
+    G, b = (L[:n, :n], L[:n, n] / oracle.alpha) if kind_i else (L, x0)
+    return (A, G, b, c), dict(
+        hankel_singular_values=s.tolist(), fit_residual=fit,
+        max_state_residual=state_res, tau0=tau0, h=step, delta=step)
 
 
 def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
              tol: Tolerances = DEFAULT_TOL,
              rng: Optional[np.random.Generator] = None) -> IdentificationResult:
-    """Full pipeline: realize (A, c), recover the states on a uniform
-    tau-grid, regress each on its predecessor and take the logarithm of the
-    fitted transition for G (and alpha b, kind I), set N = (G - A)/alpha."""
+    """Two-shift ERA: one record of the pulse family and one Hankel SVD,
+    whose row shift gives e^{Ah} and column shift e^{G delta} (kind I on
+    the differenced columns, with alpha b from Van Loan's block); then
+    N = (G - A)/alpha. A rotation too fast for the step halves h and delta
+    together, with a fresh tau0."""
     cfg = config or IdentifyConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
-    alpha = oracle.alpha
     m = cfg.n_max + 1
-
-    A, x_tau0, c, svals, tau0, h_used = _realize_with_retries(oracle, m, rng, tol)
+    (A, G, b, c), diagnostics = _halving(H, MAX_HALVINGS, lambda step: _joint(
+        oracle, m, step, float(rng.uniform(TAU0_LOW, TAU0_HIGH)), tol))
     n = A.shape[0]
-
-    K = 2 * cfg.n_max + 2
-    L, x0, fit, state_res, delta = _halving(
-        TAU_SPAN / K, MAX_H_HALVINGS,
-        lambda d: _width_transition(oracle, A, c, h_used, m, x_tau0, tau0,
-                                    d, K, tol))
-    if oracle.kind == TYPE_I:
-        G, b = L[:n, :n], L[:n, n] / alpha
-    else:
-        G, b = L, x0
-    N = (G - A) / alpha
+    N = (G - A) / oracle.alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
     r_reach = rank_of(krylov(A, b), tol)
@@ -297,15 +305,5 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
             f"identified tuple fails rank checks: reach {r_reach}, "
             f"obs {r_obs}, pulse-reach {r_alpha} of {n}"
         )
-    return IdentificationResult(
-        tuple=result,
-        n_identified=n,
-        diagnostics={
-            "hankel_singular_values": svals.tolist(),
-            "fit_residual": fit,
-            "max_state_residual": float(np.max(state_res)) if state_res.size else 0.0,
-            "tau0": tau0,
-            "h": h_used,
-            "delta": delta,
-        },
-    )
+    return IdentificationResult(tuple=result, n_identified=n,
+                                diagnostics=diagnostics)

@@ -22,6 +22,13 @@ def _fast_rotation(turns, kind, scale=1.0):
                      scale * np.array([1.0, -0.7]), kind)
 
 
+def _sweep_systems():
+    """Twenty identifiable 3-state systems: seeds 0-9, kinds I and II."""
+    return [sample_in_M(3, 1.0, np.random.default_rng(seed), kind=kind,
+                        scale=0.5)[0]
+            for seed in range(10) for kind in (TYPE_I, TYPE_II)]
+
+
 def _identify(truth, alpha=1.0, seed=0):
     return identify(oracle_from_tuple(truth, alpha), IdentifyConfig(n_max=4),
                     rng=np.random.default_rng(seed))
@@ -162,6 +169,7 @@ class TestIdentify:
         assert set(d) >= {"hankel_singular_values", "fit_residual",
                           "max_state_residual", "tau0", "h", "delta"}
         assert d["fit_residual"] < 1e-8
+        assert d["max_state_residual"] < 1e-8
         assert 0.5 <= d["tau0"] <= 1.5
 
     def test_inconsistent_oracle_raises_poor_fit(self):
@@ -220,16 +228,39 @@ class TestIdentify:
         assert eq
 
     @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
-    def test_tiny_output_scale_is_right_or_raises(self, kind):
-        # kind I's constant regressor column swamps states of 1e-9, which
-        # may raise, but no result may be silently wrong
+    def test_tiny_output_scale_is_right(self, kind):
+        # outputs of 1e-18 and states of 1e-9: every guard is relative
         truth = _fast_rotation(1.5, kind, 1e-9)
-        try:
-            res = _identify(truth)
-        except BilinError:
-            return
+        res = _identify(truth)
+        assert res.diagnostics["delta"] == pytest.approx(0.1)
         eq, _ = io_equivalent(res.tuple, truth, LOOSE)
         assert eq
+
+    def test_tiny_output_scale_of_sampled_systems_is_right(self):
+        for truth in _sweep_systems():
+            tiny = FourTuple(truth.A, truth.N, 1e-9 * truth.b, 1e-9 * truth.c,
+                             truth.kind)
+            res = _identify(tiny)
+            assert res.n_identified == 3
+            eq, _ = io_equivalent(res.tuple, tiny, LOOSE)
+            assert eq
+
+    @pytest.mark.parametrize("k", [0.2, 1.0, 5.0])
+    def test_time_scale_is_right_or_raises(self, k):
+        # (A, N, b) -> k (A, N, b), b kept for kind II, gives y_k(t) = y(kt)
+        # at fixed steps; at k = 5 a result may raise but never be wrong
+        raised = 0
+        for truth in _sweep_systems():
+            b = k * truth.b if truth.kind == TYPE_I else truth.b
+            fast = FourTuple(k * truth.A, k * truth.N, b, truth.c, truth.kind)
+            try:
+                res = _identify(fast)
+            except BilinError:
+                raised += 1
+                continue
+            eq, _ = io_equivalent(res.tuple, fast, LOOSE)
+            assert eq
+        assert raised == 0 or k > 1
 
     @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
     def test_fast_coast_halves_h(self, kind):
@@ -258,23 +289,43 @@ class TestIdentify:
         return PulseOracle(respond, alpha, truth.kind), calls
 
     def test_query_budget(self):
-        # 2m queries realize (A, c), one off the h-grid checks the coast,
-        # m per width recover the K + 1 states
-        truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19), scale=0.5)
-        oracle, calls = self._counting(truth)
-        res = identify(oracle, IdentifyConfig(n_max=4),
-                       rng=np.random.default_rng(0))
-        assert res.n_identified == 2
-        m, K = 5, 10
-        assert len(calls) <= 2 * m + 1 + (K + 1) * m == 66
-        # read one sample at a time or as whole records, the same tuple
-        batched = identify(oracle_from_tuple(truth, 1.0),
-                           IdentifyConfig(n_max=4),
+        # one record: offsets j h, j = 0..m, and the widths k delta,
+        # k = 0..m + 1 (kind I differences them; kind II needs k <= m),
+        # each with tau0 added off the grid
+        m = 5
+        for kind, budget in ((TYPE_I, (m + 3) * (m + 2)),
+                             (TYPE_II, (m + 2) * (m + 2))):
+            truth, _ = sample_in_M(2, 1.0, np.random.default_rng(19),
+                                   kind=kind, scale=0.5)
+            oracle, calls = self._counting(truth)
+            res = identify(oracle, IdentifyConfig(n_max=4),
                            rng=np.random.default_rng(0))
-        for name in "ANbc":
-            np.testing.assert_allclose(getattr(res.tuple, name),
-                                       getattr(batched.tuple, name),
-                                       rtol=1e-9, atol=1e-9)
+            assert res.n_identified == 2
+            assert len(calls) == budget
+            # read one sample at a time or as whole records, the same tuple
+            batched = identify(oracle_from_tuple(truth, 1.0),
+                               IdentifyConfig(n_max=4),
+                               rng=np.random.default_rng(0))
+            for name in "ANbc":
+                np.testing.assert_allclose(getattr(res.tuple, name),
+                                           getattr(batched.tuple, name),
+                                           rtol=1e-9, atol=1e-9)
+        assert (m + 3) * (m + 2) == 56
+
+    @pytest.mark.parametrize("turns, reads", [(0.5, 1), (2.0, 3)])
+    def test_records_are_read_once_per_attempt(self, turns, reads):
+        # at 2 pi per delta = 0.2 the attempts at 0.2 and 0.1 alias, and
+        # the one at 0.05 succeeds
+        base = oracle_from_tuple(_fast_rotation(turns, TYPE_II), 1.0)
+        designs = []
+
+        def records(widths, offsets):
+            designs.append((len(offsets), len(widths)))
+            return base.records(widths, offsets)
+
+        identify(PulseOracle(base.respond, 1.0, TYPE_II, records),
+                 IdentifyConfig(n_max=4), rng=np.random.default_rng(0))
+        assert designs == [(7, 7)] * reads
 
     def test_states_short_of_the_order_are_not_canonical(self):
         # (A, b) is reachable, so the coast has order 2, but b is an
