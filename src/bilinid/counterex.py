@@ -207,13 +207,14 @@ def _witness_widths(tau):
     return k[k != 100] if tau else k
 
 
-def _pulse_certificates(s1, s2, tau, alpha, betas=()):
+def _pulse_certificates(s1, s2, tau, alpha, betas=None):
     """From one power table of the difference system of s1 and s2 with the
     pulse step delta = s/100: the agreement residual, the moment gap
     (realization._moment_gap) of the level alpha from the start state and
     of each level in betas from the pulse-end state, row tau/delta of the
-    table; the pulse of distinguishing_search, read on [0, 5s] with level 0
-    after it; and that pulse's largest gap."""
+    table (None, and no gap computed, when betas is None); the pulse of
+    distinguishing_search, read on [0, 5s] with level 0 after it; and that
+    pulse's largest gap."""
     d = _difference(s1, s2)
     s = tau or 1.0
     delta = s / 100
@@ -221,9 +222,9 @@ def _pulse_certificates(s1, s2, tau, alpha, betas=()):
     k = _witness_widths(tau)
     gap = _pulse_peaks(Z, R, k)
     best = int(np.argmax(gap))
-    residual = _moment_gap(_generators(d, [alpha, *betas]),
-                           [Z[0]] + [Z[round(tau / delta)]] * len(betas),
-                           R[0], s1.n)
+    residual = None if betas is None else _moment_gap(
+        _generators(d, [alpha, *betas]),
+        [Z[0]] + [Z[round(tau / delta)]] * len(betas), R[0], s1.n)
     return (residual, pulse_input(k[best] * delta, alpha, 0.0, 5.0 * s + 1.0),
             float(gap[best]))
 
@@ -239,8 +240,9 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
 
     Widths and output times lie on the grid j delta, so one power table of
     the difference system (_pulse_certificates), with no march, covers
-    every width. Raises NoDistinguisherFound when no width separates the
-    pair by more than agree_tol."""
+    every width; no agreement residual is computed. Raises
+    NoDistinguisherFound when no width separates the pair by more than
+    agree_tol."""
     _, u, gap = _pulse_certificates(pair.sigma, pair.sigma_hat, tau, alpha)
     if gap <= tol.agree_tol:
         raise NoDistinguisherFound(f"largest discrepancy {gap:.3e} over "
@@ -257,8 +259,8 @@ def phi_map(P, N, b0, c, tau: float, alpha: float,
             kind: str = TYPE_II) -> FourTuple:
     """(P, N, b0, c) -> (P - alpha N, N, e^{-tau P} b0, c)."""
     P = np.asarray(P, dtype=float)
-    return FourTuple(P - alpha * np.asarray(N), N,
-                     expm(-tau * P) @ np.ravel(b0), c, kind)
+    b = expm(-tau * P) @ np.ravel(b0) if tau else np.ravel(b0)  # e^0 = I
+    return FourTuple(P - alpha * np.asarray(N), N, b, c, kind)
 
 
 def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,

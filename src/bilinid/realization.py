@@ -30,7 +30,9 @@ changed basis) stays at its rounding size and adds no direction.
 Equivalence runs the layers of the stacked pair (A1 (+) A2, N1 (+) N2,
 [b1; b2]), each member first balanced by the change of basis that makes
 ||b_i|| = ||c_i|| and leaves its i/o map as it is, so that each member
-weighs by its output scale and not by the scale of its states.
+weighs by its output scale and not by the scale of its states. The layers
+come from a generator and are judged as they come, so none past the first
+failing length is built.
 ||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
 length k, and length k fails when it exceeds residual_tol times the larger
 coefficient norm of the two tuples, max(||c1 X_k^top||, ||c2 X_k^bot||),
@@ -69,9 +71,18 @@ def series_coefficient(t: FourTuple, word: str) -> float:
     return float(t.c @ v)
 
 
-def _unit(X):
+def _unit(X, stack=False):
     """X scaled to unit 2-norm, and that norm; a zero X is returned as it
-    is. Dividing by the largest |entry| first keeps the norm finite."""
+    is. Dividing by the largest |entry| first keeps the norm finite. With
+    stack, each X[i] is scaled on its own in one pass and only the scaled
+    stack is returned; its sums of squares are the dot products _norm takes,
+    so each X[i] comes out bitwise as _unit(X[i])[0]."""
+    if stack:
+        Y = X.reshape(len(X), 1, -1)
+        m = np.abs(Y).max(axis=2, keepdims=True)
+        Y = Y / np.where(m, m, 1.0)
+        s = m * np.sqrt(Y @ Y.transpose(0, 2, 1))
+        return (X.reshape(Y.shape) / np.where(s, s, 1.0)).reshape(X.shape)
     m = np.abs(X).max()
     s = m * _norm(X / m) if m else 0.0
     return (X / s if s else X), s
@@ -83,32 +94,32 @@ def _norm(x):
     return math.sqrt(np.vdot(x, x))
 
 
-def _layers(A, N, v, count):
-    """Word layers of (A, N, v) for lengths 0 .. count, each as its rows
-    Z_k = X_k' (module docstring). Returns (layers, err, growth, A, N) with
-    err[k] the rounding allowance of layer k, growth[k] the norm of P_k for
-    the pre-scaled A, N and unit v, and A, N as pre-scaled."""
-    n = A.shape[0]
-    step, _ = _unit(np.hstack([A.T, N.T]))      # z -> [z A', z N']
+def _layers(step, v, count):
+    """Word layers from v for lengths 0 .. count, each as its rows
+    Z_k = X_k' (module docstring), under step = [A', N'] scaled to unit
+    2-norm (z -> [z A', z N'] for the pre-scaled A and N). Yields
+    (Z_k, err_k, growth_k) with err_k the rounding allowance of layer k and
+    growth_k the norm of P_k for unit v. A layer is built only when asked
+    for, so a caller that stops at a length builds no longer layer."""
+    n = v.size
     u = _ROUND * n
-    layers, err, growth = [_unit(v.reshape(1, n))[0]], [u], [1.0]
+    Z, e, norm = _unit(v.reshape(1, n))[0], u, 1.0
     for k in range(1, count + 1):
-        Z = (layers[-1] @ step).reshape(-1, n)
+        yield Z, e, norm
+        Z = (Z @ step).reshape(-1, n)
         if Z.shape[0] > 4 * n and k < count:    # the last layer grows no more
             Z = np.linalg.qr(Z, mode="r")
         g = _norm(Z)
-        layers.append(Z / g if g else Z)
-        err.append(err[-1] + (u / g if g else 0.0))
-        growth.append(growth[-1] * g)
-    return layers, err, growth, step[:, :n].T, step[:, n:].T
+        Z, e, norm = (Z / g if g else Z), e + (u / g if g else 0.0), norm * g
+    yield Z, e, norm
 
 
 def _span(A, N, v, count):
     """The word layers of (A, N, v) up to length count stacked as rows, each
     weighted by its growth: the products of the pre-scaled system, so a
     layer that is only rounding noise stays as small as it is."""
-    layers, _, growth, _, _ = _layers(A, N, v, count)
-    return np.vstack([g * Z for Z, g in zip(layers, growth)])
+    step, _ = _unit(np.hstack([A.T, N.T]))     # z -> [z A', z N']
+    return np.vstack([g * Z for Z, _, g in _layers(step, v, count)])
 
 
 def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
@@ -160,17 +171,20 @@ def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
 def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
     """Compare the series coefficients of every word length up to n1 + n2,
     one length at a time on the word layers of the stacked pair (module
-    docstring). Returns (equivalent, lex-first word of the first differing
-    length or None)."""
+    docstring); no layer past the first differing length is built. Returns
+    (equivalent, lex-first word of the first differing length or None)."""
     n1 = t1.n
     d = _difference(t1, t2)
     (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
-    layers, err, _, A, N = _layers(d.A, d.N, np.concatenate([b1, b2]), d.n)
+    step, _ = _unit(np.hstack([d.A.T, d.N.T]))
     r, _ = _unit(np.concatenate([c1, -c2]))
-    for k, Z in enumerate(layers):
+    layers, err = [], []
+    for Z, e, _ in _layers(step, np.concatenate([b1, b2]), d.n):
         size = max(_norm(Z[:, :n1] @ r[:n1]), _norm(Z[:, n1:] @ r[n1:]))
-        if _norm(Z @ r) > tol.residual_tol * size + err[k]:
-            return False, _lex_first(r, layers[:k], err, A, N, tol)
+        if _norm(Z @ r) > tol.residual_tol * size + e:
+            return False, _lex_first(r, layers, err, step, tol)
+        layers.append(Z)
+        err.append(e)
     return True, None
 
 
@@ -185,8 +199,8 @@ def _moment_gap(G, Z, c, n1):
     share (the first n1 states are the first member's). Returns the worst
     ratio; 0 when every gap is within its allowance."""
     m = G.shape[-1]
-    G = np.array([_unit(g)[0] for g in G])
-    K = [np.array([_unit(z)[0] for z in Z])]
+    G = _unit(G, stack=True)
+    K = [_unit(np.array(Z), stack=True)]
     for _ in range(1, m):
         K.append((G @ K[-1][:, :, None])[:, :, 0])
     r, _ = _unit(c)
@@ -198,11 +212,13 @@ def _moment_gap(G, Z, c, n1):
     return max(0.0, float(np.max(gap / np.maximum(size, _TINY))))
 
 
-def _lex_first(r, layers, err, A, N, tol):
+def _lex_first(r, layers, err, step, tol):
     """The word of length len(layers), chosen letter by letter from the
     left, whose branch of r A_w X_0 carries the difference: A unless the A
-    branch is within residual_tol of the N branch plus its rounding. The
-    row r has a rounding allowance of its own, grown as a layer's is."""
+    branch is within residual_tol of the N branch plus its rounding, with
+    A and N pre-scaled as in step = [A', N']. The row r has a rounding
+    allowance of its own, grown as a layer's is."""
+    A, N = step[:, :r.size].T, step[:, r.size:].T
     u = _ROUND * r.size
     word, e_r = "", 0.0
     for k in range(len(layers) - 1, -1, -1):

@@ -25,14 +25,16 @@ against another.
 
 A pulse of amplitude alpha followed by the level 0, on a uniform grid,
 needs no march at all: every such output is c F^i E^j z0 for the one-step
-maps E (level alpha) and F (level 0), read from one table (_power_table),
-and _pulse_peaks reduces the table to the largest output of each pulse
-width. The counterexample pairs read their pulse of another width and
-their pulse-end state from it; whether a pair agrees is not read from
-outputs at all, but decided by realization._moment_gap. The table is
-filled by repeated squaring, not one step at a time: rows p .. 2p-1 are
-rows 0 .. p-1 times the p-th power of the maps. A state that leaves the
-representable range raises Overflow instead of giving outputs.
+maps E (level alpha) and F (level 0), read from one table (_power_table).
+_pulse_peaks reduces the table to the largest output of each pulse width
+in one pass: one row of products Z_k R_m' per width k, the rows past the
+table's end set to 0, and one maximum along each row. The counterexample
+pairs read their pulse of another width and their pulse-end state from
+the table; whether a pair agrees is not read from outputs at all, but
+decided by realization._moment_gap. The table is filled by repeated
+squaring, not one step at a time: rows p .. 2p-1 are rows 0 .. p-1 times
+the p-th power of the maps. A state that leaves the representable range
+raises Overflow instead of giving outputs.
 """
 
 import numpy as np
@@ -145,7 +147,7 @@ def _power_table(t: FourTuple, alpha: float, delta: float, points):
     m = P.shape[-1]
     W = np.empty((2, points, m))
     W[0, 0] = _start(t)
-    W[1, 0] = np.pad(t.c, (0, m - t.n))
+    W[1, 0, :t.n], W[1, 0, t.n:] = t.c, 0.0
     p = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while p < points:
@@ -161,14 +163,16 @@ def _pulse_peaks(Z, R, k):
     """The largest |output| at the times j delta of the table's pulse of
     width k[i] delta (k an integer array) followed by the level 0: the
     running maximum of |c Z_j| while the pulse lasts (c = R_0; none for
-    width 0), against that of |R_m Z_k| over the len(Z) - k rows after
-    it."""
+    width 0), against the largest |Z_k R_m'| over the len(Z) - k rows
+    after it, one row of products per width with the rows past the table
+    set to 0."""
     front = np.maximum.accumulate(np.abs(np.append(0.0, R[0] @ Z.T)))
-    tail = R @ Z[k].T
+    tail = Z[k] @ R.T
     # in place: a second table-sized temporary would make malloc return
     # the freed heap top to the system after each call, and fault it back
-    np.maximum.accumulate(np.abs(tail, out=tail), axis=0, out=tail)
-    return np.maximum(front[k], tail[len(Z) - 1 - k, np.arange(k.size)])
+    np.abs(tail, out=tail)
+    tail[np.arange(len(Z)) >= len(Z) - k[:, None]] = 0.0
+    return np.maximum(front[k], tail.max(axis=1))
 
 
 def sample_discrete(t: FourTuple, tau: float, u_seq):

@@ -295,6 +295,23 @@ class TestNormalizationMaps:
         assert np.allclose(P2, P, atol=1e-9)
         assert np.allclose(b02, b0, atol=1e-9)
 
+    def test_phi_at_zero_width_skips_the_exponential(self, monkeypatch):
+        # e^0 = I exactly, so b0 comes through bitwise as the exponential
+        # would give it, and no exponential is taken
+        rng = np.random.default_rng(3)
+        P, N = rng.standard_normal((2, 3, 3))
+        b0, c = rng.standard_normal((2, 3))
+        t = phi_map(P, N, b0, c, 0.0, 0.5)
+        assert np.array_equal(t.b, expm(-0.0 * P) @ b0)
+        assert np.array_equal(t.A, P - 0.5 * N)
+        calls = []
+        monkeypatch.setattr(counterex, "expm",
+                            lambda M: calls.append(M) or expm(M))
+        assert np.array_equal(phi_map(P, N, b0, c, 0.0, 0.5).b, t.b)
+        assert calls == []
+        phi_map(P, N, b0, c, 0.7, 0.5)
+        assert len(calls) == 1
+
     def test_rescale_guards(self):
         t = FourTuple(A2, E11, B2, C2)
         with pytest.raises(DegenerateRescale):
@@ -399,11 +416,38 @@ def _width_table(Z, R, k):
     """The outputs y[i, j] at the times j delta of the table's pulse of
     width k[i] steps followed by the level 0, entry by entry from the
     definition: c Z_j while the pulse lasts (c = R_0), R_{j-k} Z_k after
-    it. The products are formed as _pulse_peaks forms them."""
+    it. The products are formed as _pulse_peaks forms them, the tail as
+    Z_k R_m'."""
     k = list(k)
-    front, tail = R[0] @ Z.T, R @ Z[k].T
-    return np.array([[front[j] if j < w else tail[j - w, i]
+    front, tail = R[0] @ Z.T, Z[k] @ R.T
+    return np.array([[front[j] if j < w else tail[i, j - w]
                       for j in range(len(Z))] for i, w in enumerate(k)])
+
+
+def _peaks_by_accumulate(Z, R, k):
+    """_pulse_peaks in its earlier form, the reference for the row-wise
+    scan: the widths as columns of R Z_k', whose running maxima down the
+    column are read at row len(Z) - 1 - k."""
+    front = np.maximum.accumulate(np.abs(np.append(0.0, R[0] @ Z.T)))
+    tail = np.maximum.accumulate(np.abs(R @ Z[k].T), axis=0)
+    return np.maximum(front[k], tail[len(Z) - 1 - k, np.arange(k.size)])
+
+
+def _moment_gap_by_level(G, Z, c, n1):
+    """realization._moment_gap in its earlier form, the reference for the
+    stacked scaling: one _unit call per level for G and for Z."""
+    m = G.shape[-1]
+    G = np.array([realization._unit(g)[0] for g in G])
+    K = [np.array([realization._unit(z)[0] for z in Z])]
+    for _ in range(1, m):
+        K.append((G @ K[-1][:, :, None])[:, :, 0])
+    r, _ = realization._unit(c)
+    K = np.array(K)
+    y1, y2 = K[..., :n1] @ r[:n1], K[..., n1:] @ r[n1:]
+    size = np.maximum(np.abs(y1), np.abs(y2))
+    allowance = realization._ROUND * m * np.arange(1, m + 1)[:, None]
+    gap = np.abs(y1 + y2) - allowance
+    return max(0.0, float(np.max(gap / np.maximum(size, realization._TINY))))
 
 
 def _separation(pair):
@@ -551,6 +595,75 @@ class TestDistinguishingSearch:
                                   InputClass("constants", None, 1.0), 0.0, "N")
         with pytest.raises(Overflow):
             distinguishing_search(pair, 0.0, 1.0)
+
+
+def _certificate_inputs(pair, tau, alpha, betas):
+    """The power table, witness widths and moment-gap levels that
+    _pulse_certificates forms for a pulse pair."""
+    d = _difference(pair.sigma, pair.sigma_hat)
+    delta = (tau or 1.0) / 100
+    Z, R = _power_table(d, alpha, delta, 501)
+    G = counterex._generators(d, [alpha, *betas])
+    return Z, R, _witness_widths(tau), (
+        G, [Z[0]] + [Z[round(tau / delta)]] * len(betas), R[0], pair.sigma.n)
+
+
+class TestCertificateReductions:
+    """The row-wise peak scan and the stacked moment scaling against their
+    earlier forms. A stacked sum of squares is the dot product _norm
+    takes, so the moment gap matches exactly. The peak scan forms its tail
+    products as Z_k R_m' instead of R_m Z_k', and BLAS may sum a length-m
+    dot product in another order for another shape: each product then
+    moves by at most m eps |Z_k| |R_m|' from the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), so
+    the two peaks may differ by twice that and no more."""
+
+    def _pairs(self):
+        for s in range(8):
+            n = 2 + s % 2
+            seed, _ = sample_in_C(n, np.random.default_rng(200 + s))
+            tau, alpha = ((1.0, 1.0), (0.3, -1.0))[s % 2]
+            yield (single_pulse_pair(seed, tau, alpha), tau, alpha, [0.0])
+            seed, _ = sample_in_G0(n, np.random.default_rng(200 + s),
+                                   kind=TYPE_II)
+            tau = float(s % 2)
+            yield (pulse_family_pair(seed, tau, 1.0), tau, 1.0, BETA_TEST_SET)
+
+    def test_peaks_match_the_running_maximum(self):
+        eps = np.finfo(float).eps
+        for pair, tau, alpha, betas in self._pairs():
+            Z, R, witness, _ = _certificate_inputs(pair, tau, alpha, betas)
+            for k in (witness, np.arange(len(Z))):
+                bound = 2 * Z.shape[1] * eps * np.max(
+                    np.abs(Z[k]) @ np.abs(R).T, axis=1)
+                gap = np.abs(_pulse_peaks(Z, R, k)
+                             - _peaks_by_accumulate(Z, R, k))
+                assert np.all(gap <= bound)
+
+    def test_moment_gap_matches_one_unit_call_per_level(self):
+        for pair, tau, alpha, betas in self._pairs():
+            *_, args = _certificate_inputs(pair, tau, alpha, betas)
+            assert realization._moment_gap(*args) == pair.agreement_residual
+            assert pair.agreement_residual == _moment_gap_by_level(*args)
+            # a partner off by 1e-6 gives a nonzero gap, the same both ways
+            G, Z, c, n1 = args
+            off = c.copy()
+            off[n1:] *= 1.0 + 1e-6
+            assert realization._moment_gap(G, Z, off, n1) == \
+                _moment_gap_by_level(G, Z, off, n1) > 0.0
+
+    def test_search_computes_no_moment_gap(self, monkeypatch):
+        pairs = [(pair, tau, alpha) for pair, tau, alpha, _ in self._pairs()]
+        calls = []
+        monkeypatch.setattr(counterex, "_moment_gap",
+                            lambda *args: calls.append(args))
+        for pair, tau, alpha in pairs:
+            u = distinguishing_search(pair, tau, alpha)
+            want = pair.distinguishing_input
+            assert (u.breakpoints.tolist(), u.levels.tolist(), u.horizon) \
+                == (want.breakpoints.tolist(), want.levels.tolist(),
+                    want.horizon)
+        assert calls == []
 
 
 class TestSampledPair:

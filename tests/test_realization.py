@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilinid import (DEFAULT_TOL, FourTuple, Tolerances, conjugate,
-                     io_equivalent, is_canonical, krylov, sample_in_G0,
-                     self_dual_T, series_coefficient, similarity_between,
-                     twin_via_T)
+from bilinid import (DEFAULT_TOL, TYPE_II, FourTuple, Tolerances, conjugate,
+                     io_equivalent, is_canonical, krylov, pulse_family_pair,
+                     sample_in_B_alpha, sample_in_C, sample_in_G0,
+                     sampled_pair, self_dual_T, series_coefficient,
+                     similarity_between, single_pulse_pair, twin_via_T)
 from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
-from bilinid.realization import _span
+from bilinid.realization import (_balanced, _difference, _layers, _lex_first,
+                                 _norm, _span, _unit)
 
 from oracles import all_words, brute_coefficient, word_product, word_row
 
@@ -303,6 +305,103 @@ class TestIoEquivalence:
         t1 = _random_tuple(seed, n=2)
         t2 = _random_tuple(seed + 1, n=2)
         assert io_equivalent(t1, t2)[0] == io_equivalent(t2, t1)[0]
+
+
+def _full_build_verdict(t1, t2, tol=DEFAULT_TOL):
+    """io_equivalent in its earlier form, as the reference for the early
+    stop: every layer up to length n1 + n2 is built first, then the
+    lengths are judged in turn."""
+    n1 = t1.n
+    d = _difference(t1, t2)
+    (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
+    step, _ = _unit(np.hstack([d.A.T, d.N.T]))
+    layers, err, _ = zip(*_layers(step, np.concatenate([b1, b2]), d.n))
+    assert len(layers) == d.n + 1
+    r, _ = _unit(np.concatenate([c1, -c2]))
+    for k, Z in enumerate(layers):
+        size = max(_norm(Z[:, :n1] @ r[:n1]), _norm(Z[:, n1:] @ r[n1:]))
+        if _norm(Z @ r) > tol.residual_tol * size + err[k]:
+            return False, _lex_first(r, layers[:k], err, step, tol)
+    return True, None
+
+
+def _brute_verdict(t1, t2, rtol=DEFAULT_TOL.residual_tol):
+    """The verdict by literal word products: the first length whose
+    coefficient differences exceed rtol times the larger member's
+    coefficient norm at that length, and its lex-first word whose own
+    difference does."""
+    for k in range(t1.n + t2.n + 1):
+        words = [w for w in all_words(k) if len(w) == k]
+        y1, y2 = (np.array([brute_coefficient(t, w) for w in words])
+                  for t in (t1, t2))
+        size = rtol * max(np.linalg.norm(y1), np.linalg.norm(y2))
+        if np.linalg.norm(y1 - y2) > size:
+            return False, words[int(np.argmax(np.abs(y1 - y2) > size))]
+    return True, None
+
+
+def _sweep_pairs(seed):
+    """Seeded pairs for the early stop: a G0 draw against its twin, its
+    conjugate, and its conjugate with A, N, b or c off by 1e-5 relative;
+    and the members of a single-pulse, a pulse-family and a sampled
+    pair."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    t, _ = sample_in_G0(n, rng)
+    conj = conjugate(t, _conditioned(rng, n))
+    off = [1.0 + 1e-5 * (i == seed % 4) for i in range(4)]
+    partner = FourTuple(conj.A * off[0], conj.N * off[1], conj.b * off[2],
+                        conj.c * off[3])
+    single = single_pulse_pair(sample_in_C(n, rng, scale=0.4)[0], 1.0, 1.0)
+    family = pulse_family_pair(
+        sample_in_G0(n, rng, kind=TYPE_II, scale=0.4)[0], seed % 2, 1.0)
+    sampled = sampled_pair(sample_in_B_alpha(1.0, rng)[0], 1.0, 1.0)
+    return [(t, twin_via_T(t)), (t, conj), (t, partner),
+            *((p.sigma, p.sigma_hat) for p in (single, family, sampled))]
+
+
+class TestEarlyStop:
+    """io_equivalent stops building layers at the first failing length;
+    its verdict and word are those of the full build."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sweep_matches_full_build_and_brute_force(self, seed):
+        for i, (t1, t2) in enumerate(_sweep_pairs(seed)):
+            verdict = io_equivalent(t1, t2)
+            assert verdict == _full_build_verdict(t1, t2)
+            assert verdict == _brute_verdict(t1, t2)
+            assert verdict[0] is (i == 1)
+
+    def test_a_pair_differing_at_cb_builds_one_layer(self, monkeypatch):
+        # 6-state members: the full build of the 12-state difference
+        # compresses layers 6 (64 rows) and 9 by QR; a pair that differs
+        # at c b stops at length 0 and compresses none
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        t = _random_tuple(5, n=6, scale=0.4)
+        other = FourTuple(t.A, t.N, 1.1 * t.b, t.c)
+        assert io_equivalent(t, other) == (False, "")
+        assert calls == []
+        same = conjugate(t, _conditioned(np.random.default_rng(5), 6))
+        assert io_equivalent(t, same) == (True, None)
+        assert calls == [(64, 12), (96, 12)]
+
+    def test_stacked_unit_matches_one_call_per_item(self):
+        # each item bitwise as its own _unit call, zero items as they are,
+        # entries from 1e-300 to 1e300
+        rng = np.random.default_rng(0)
+        for shape in [(9, 4), (9, 7), (8, 4, 4), (8, 7, 7)]:
+            X = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+                -300, 300, size=(shape[0],) + (1,) * (len(shape) - 1))
+            X[::3] = 0.0
+            assert np.array_equal(_unit(X, stack=True),
+                                  np.array([_unit(x)[0] for x in X]))
 
 
 class TestConjugation:
