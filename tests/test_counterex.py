@@ -597,42 +597,45 @@ class TestDistinguishingSearch:
             distinguishing_search(pair, 0.0, 1.0)
 
 
-def _certificate_inputs(pair, tau, alpha, betas):
-    """The power table, witness widths and moment-gap levels that
-    _pulse_certificates forms for a pulse pair."""
-    d = _difference(pair.sigma, pair.sigma_hat)
-    delta = (tau or 1.0) / 100
-    Z, R = _power_table(d, alpha, delta, 501)
-    G = counterex._generators(d, [alpha, *betas])
-    return Z, R, _witness_widths(tau), (
-        G, [Z[0]] + [Z[round(tau / delta)]] * len(betas), R[0], pair.sigma.n)
+def _recorded(make, seed, tau, alpha):
+    """The pair make(seed, tau, alpha), its tau and alpha, and the
+    arguments of the _pulse_peaks and _moment_gap calls the constructor
+    made, recorded as it ran."""
+    args = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_pulse_peaks", "_moment_gap"):
+            def spy(*a, fn=getattr(counterex, name), name=name):
+                args[name] = a
+                return fn(*a)
+            mp.setattr(counterex, name, spy)
+        pair = make(seed, tau, alpha)
+    return pair, tau, alpha, args["_pulse_peaks"], args["_moment_gap"]
 
 
 class TestCertificateReductions:
     """The row-wise peak scan and the stacked moment scaling against their
-    earlier forms. A stacked sum of squares is the dot product _norm
-    takes, so the moment gap matches exactly. The peak scan forms its tail
-    products as Z_k R_m' instead of R_m Z_k', and BLAS may sum a length-m
-    dot product in another order for another shape: each product then
-    moves by at most m eps |Z_k| |R_m|' from the exact one (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), so
-    the two peaks may differ by twice that and no more."""
+    earlier forms, on the arguments the pair constructors pass. A stacked
+    sum of squares is the dot product _norm takes, so the moment gap
+    matches exactly. The peak scan forms its tail products as Z_k R_m'
+    instead of R_m Z_k', and BLAS may sum a length-m dot product in another
+    order for another shape: each product then moves by at most
+    m eps |Z_k| |R_m|' from the exact one (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, sec. 3.1), so the two peaks may differ
+    by twice that and no more."""
 
     def _pairs(self):
         for s in range(8):
             n = 2 + s % 2
             seed, _ = sample_in_C(n, np.random.default_rng(200 + s))
             tau, alpha = ((1.0, 1.0), (0.3, -1.0))[s % 2]
-            yield (single_pulse_pair(seed, tau, alpha), tau, alpha, [0.0])
+            yield _recorded(single_pulse_pair, seed, tau, alpha)
             seed, _ = sample_in_G0(n, np.random.default_rng(200 + s),
                                    kind=TYPE_II)
-            tau = float(s % 2)
-            yield (pulse_family_pair(seed, tau, 1.0), tau, 1.0, BETA_TEST_SET)
+            yield _recorded(pulse_family_pair, seed, float(s % 2), 1.0)
 
     def test_peaks_match_the_running_maximum(self):
         eps = np.finfo(float).eps
-        for pair, tau, alpha, betas in self._pairs():
-            Z, R, witness, _ = _certificate_inputs(pair, tau, alpha, betas)
+        for *_, (Z, R, witness), _ in self._pairs():
             for k in (witness, np.arange(len(Z))):
                 bound = 2 * Z.shape[1] * eps * np.max(
                     np.abs(Z[k]) @ np.abs(R).T, axis=1)
@@ -641,8 +644,7 @@ class TestCertificateReductions:
                 assert np.all(gap <= bound)
 
     def test_moment_gap_matches_one_unit_call_per_level(self):
-        for pair, tau, alpha, betas in self._pairs():
-            *_, args = _certificate_inputs(pair, tau, alpha, betas)
+        for pair, *_, args in self._pairs():
             assert realization._moment_gap(*args) == pair.agreement_residual
             assert pair.agreement_residual == _moment_gap_by_level(*args)
             # a partner off by 1e-6 gives a nonzero gap, the same both ways
@@ -653,7 +655,7 @@ class TestCertificateReductions:
                 _moment_gap_by_level(G, Z, off, n1) > 0.0
 
     def test_search_computes_no_moment_gap(self, monkeypatch):
-        pairs = [(pair, tau, alpha) for pair, tau, alpha, _ in self._pairs()]
+        pairs = [(pair, tau, alpha) for pair, tau, alpha, *_ in self._pairs()]
         calls = []
         monkeypatch.setattr(counterex, "_moment_gap",
                             lambda *args: calls.append(args))

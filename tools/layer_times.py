@@ -1,22 +1,21 @@
 """Time the layers of the counterexample pairs on the pulse-pairs
-benchmark's items, in one process on one BLAS thread.
+benchmark's items (seed 1), in one process on one BLAS thread.
 
-    python tools/layer_times.py [--tree TREE] [--seed 1] [--reps 300]
-                                [--repeats 5]
+    python tools/layer_times.py [--tree TREE]
 
 imports bilinid from TREE/src (default: the tree this script lives in) and
 the item generator from this tree's bench/workloads.py, so two trees can
 be timed on the same items. It prints:
 
-- µs per call of simulate._power_table, simulate._pulse_peaks,
-  realization._moment_gap and realization.io_equivalent, averaged over
-  the single-pulse and pulse-family items (the "pulse ops"), with each
-  call's arguments as the pair constructors form them;
+- µs per call of _power_table, _pulse_peaks, _moment_gap and io_equivalent
+  over the single-pulse and pulse-family items (the "pulse ops"), each
+  call replayed with the arguments the pair constructor passed when it
+  built that item's pair;
 - pairs per second for each class: single-pulse, pulse-family, constants
   (the pulse family at tau = 0) and sampled.
 
-Each figure is the best of --repeats timings of --reps passes over the
-items, so it reads the machine when it is least disturbed.
+Each figure is the best of REPEATS timings of REPS passes over the items,
+so it reads the machine when it is least disturbed.
 """
 
 import os
@@ -25,20 +24,21 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
-import importlib
 import sys
 import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED, REPS, REPEATS = 1, 300, 5
+LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent")
 
 
-def best_us(calls, reps, repeats):
-    """µs per call: the best of `repeats` timings of `reps` passes over
-    the zero-argument callables `calls`."""
+def best_us(calls, reps):
+    """µs per call: the best of REPEATS timings of `reps` passes over the
+    zero-argument callables `calls`."""
     clock = time.perf_counter
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = clock()
         for _ in range(reps):
             for call in calls:
@@ -47,55 +47,46 @@ def best_us(calls, reps, repeats):
     return 1e6 * best
 
 
-def layer_calls(bl, item):
-    """The (power table, peaks, moment gap, io_equivalent) calls of one
-    single-pulse or pulse-family item, on the pair the constructor
-    builds."""
-    counterex, realization, simulate = (
-        importlib.import_module(f"bilinid.{name}")
-        for name in ("counterex", "realization", "simulate"))
-    kind, seed, tau, alpha = item
-    pair = (bl.single_pulse_pair if kind == "single"
-            else bl.pulse_family_pair)(seed, tau, alpha)
-    betas = [0.0] if kind == "single" else \
-        counterex.BETA_TEST_SET * max(1.0, abs(alpha))
-    d = realization._difference(pair.sigma, pair.sigma_hat)
-    delta = (tau or 1.0) / 100
-    Z, R = simulate._power_table(d, alpha, delta, 501)
-    k = counterex._witness_widths(tau)
-    G = simulate._generators(d, [alpha, *betas])
-    start = [Z[0]] + [Z[round(tau / delta)]] * len(betas)
-    n1 = pair.sigma.n
-    return (lambda: simulate._power_table(d, alpha, delta, 501),
-            lambda: simulate._pulse_peaks(Z, R, k),
-            lambda: realization._moment_gap(G, start, R[0], n1),
-            lambda: realization.io_equivalent(pair.sigma, pair.sigma_hat))
+def recorded_calls(counterex, run, items):
+    """Each layer's calls as the pair constructors make them: runs every
+    item once with the LAYERS of the counterex module wrapped, and returns
+    per layer the function and a zero-argument replay of each call."""
+    layers = {name: (getattr(counterex, name), []) for name in LAYERS}
+    for name, (fn, calls) in layers.items():
+        def spy(*args, fn=fn, calls=calls):
+            calls.append(lambda: fn(*args))
+            return fn(*args)
+        setattr(counterex, name, spy)
+    try:
+        for item in items:
+            run(item)
+    finally:
+        for name, (fn, _) in layers.items():
+            setattr(counterex, name, fn)
+    return layers
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=HERE)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--reps", type=int, default=300)
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(HERE / "tests"),
                     str(HERE / "bench")]
     import bilinid as bl
     import workloads
+    from bilinid import counterex
 
     work = workloads.PulsePairs()
-    items = work.generate(workloads.rng_for(work.name, args.seed))
+    items = work.generate(workloads.rng_for(work.name, SEED))
     pulse = [item for item in items if item[0] != "sampled"]
-    layers = list(zip(*(layer_calls(bl, item) for item in pulse)))
+    layers = recorded_calls(counterex, work.run, pulse)
     print(f"bilinid from {Path(bl.__file__).parent}; pulse-pairs seed "
-          f"{args.seed}, {len(pulse)} pulse ops; best of {args.repeats} x "
-          f"{args.reps} passes")
-    for name, calls in zip(("simulate._power_table", "simulate._pulse_peaks",
-                            "realization._moment_gap",
-                            "realization.io_equivalent"), layers):
-        us = best_us(calls, args.reps, args.repeats)
-        print(f"{us:9.1f} µs/call  {name}")
+          f"{SEED}, {len(pulse)} pulse ops; best of {REPEATS} x {REPS} "
+          f"passes")
+    for fn, calls in layers.values():
+        us = best_us(calls, REPS)
+        print(f"{us:9.1f} µs/call  {fn.__module__}.{fn.__name__} "
+              f"({len(calls)} calls)")
 
     classes = {}
     for item in items:
@@ -105,7 +96,7 @@ def main(argv=None):
         classes.setdefault(label, []).append(
             lambda item=item: work.run(item))
     for label, calls in classes.items():
-        us = best_us(calls, max(1, args.reps // 10), args.repeats)
+        us = best_us(calls, REPS // 10)
         print(f"{1e6 / us:9.0f} pairs/s  {label} ({len(calls)} per round)")
 
 
