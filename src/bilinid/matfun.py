@@ -11,7 +11,10 @@ through the augmented block exponential
 
     expm(t * [[Q, I], [0, 0]]) = [[e^{tQ}, int_0^t e^{sQ} ds], [0, I]]
 
-rather than Q^{-1}(e^{tQ} - I), so singular Q needs no special case.
+rather than Q^{-1}(e^{tQ} - I), so singular Q needs no special case. The
+whole block comes from the private _phi1_block, so a caller that needs
+e^{tQ} as well (the sampled recursion of simulate.py) reads both from one
+exponential instead of exponentiating Q again.
 
 principal_logm diagonalizes: the one eigendecomposition M = V diag(lam) V^{-1}
 that supplies the eigenvalues for the branch-cut check also gives
@@ -134,9 +137,10 @@ def expm(M):
     return E.reshape(M.shape)
 
 
-def phi1(Q, t):
-    """int_0^t e^{sQ} ds, for one matrix Q (n, n) or each of a stack
-    (k, n, n), via the augmented block exponential."""
+def _phi1_block(Q, t):
+    """expm(t * [[Q, I], [0, 0]]) for one matrix Q (n, n) or each of a
+    stack (k, n, n): e^{tQ} is its top-left n x n block and phi1(Q, t) its
+    top-right one."""
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[-1]
     if t < 0:
@@ -144,7 +148,14 @@ def phi1(Q, t):
     aug = np.zeros((*Q.shape[:-2], 2 * n, 2 * n))
     aug[..., :n, :n] = Q
     aug[..., :n, n:] = np.eye(n)
-    return expm(t * aug)[..., :n, n:]
+    return expm(t * aug)
+
+
+def phi1(Q, t):
+    """int_0^t e^{sQ} ds, for one matrix Q (n, n) or each of a stack
+    (k, n, n), via the augmented block exponential."""
+    n = np.shape(Q)[-1]
+    return _phi1_block(Q, t)[..., :n, n:]
 
 
 def pinv_rank(M, tol: Tolerances = DEFAULT_TOL):

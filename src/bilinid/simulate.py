@@ -10,18 +10,21 @@ flow is exact. For kind I the affine step is the top block of
 x -> expm(h (A + vN)) x. The march visits every requested grid point and
 every input breakpoint between them. Each step is a (level, length) pair;
 the distinct pairs are exponentiated in one call on a stack of generators,
-so the march itself only multiplies, and not one step at a time: the steps
-fall into blocks of 16, doubling forms every prefix product of each block
-in four batched products, one matvec per block carries the state to the
-next, and one batched product reads every state. No product spans more
-than one block, so a mode the state never excites overflows only if its
-16-step power does. Outputs are reported only at the requested points.
+so what remains is to apply the maps, and _chain does that, not one step
+at a time: the steps fall into blocks of 16, doubling forms every prefix
+product of each block in four batched products, one matvec per block
+carries the state to the next, and one batched product reads every state.
+No product spans more than one block, so a mode the state never excites
+overflows only if its 16-step power does. Outputs are reported only at
+the requested points.
 
-The fixed-rate sampled recursion (sample_discrete) stays a step-by-step
-recursion built from its own maps, F(u) = expm((A + uN) tau) and
-g(u) = phi1(A + uN, tau) b, which it forms itself, and shares no code with
-the march or the power table: comparing the two checks one construction
-against another.
+The fixed-rate sampled recursion (sample_discrete) shares the chain with
+the march, but not the maps: it builds its own, F(u) = expm((A + uN) tau)
+and g(u) = phi1(A + uN, tau) b, from one exponential of phi1's block
+[[A + uN, I], [0, 0]] rather than from Van Loan's block above, and uses
+neither the generators nor the power table. So comparing the two still
+checks one construction of the maps against another, while the chain is
+checked against the step-by-step RK4 of tests/oracles.py.
 
 A pulse of amplitude alpha followed by the level 0, on a uniform grid,
 needs no march at all: every such output is c F^i E^j z0 for the one-step
@@ -42,9 +45,9 @@ import numpy as np
 from .core import (TYPE_I, FourTuple, PiecewiseConstantInput, Trajectory,
                    pulse_input)
 from .errors import GridOutOfRange, Overflow
-from .matfun import expm, phi1
+from .matfun import _phi1_block, expm
 
-_BLOCK = 16  # steps per block of prefix products in _march
+_BLOCK = 16  # steps per block of prefix products in _chain
 
 
 def _generators(t: FourTuple, levels):
@@ -71,6 +74,31 @@ def _finite(X):
     return X
 
 
+def _chain(Phi, which, x):
+    """The state after each step k, Phi[which[k]] ... Phi[which[0]] x, one
+    row per step. The steps go in blocks of _BLOCK, padded with identities;
+    doubling turns each block into its prefix products, P[b, i] = step i of
+    b ... step 0 of b, and the state entering block b carries over from
+    block b - 1. Raises Overflow for a state beyond the float range."""
+    K, m = which.size, x.size
+    blocks = -(-K // _BLOCK)
+    P = np.empty((blocks * _BLOCK, m, m))
+    P[:K] = Phi[which]
+    P[K:] = np.eye(m)
+    P = P.reshape(blocks, _BLOCK, m, m)
+    S = np.empty((blocks, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 1
+        while p < _BLOCK:
+            P[:, p:] = P[:, p:] @ P[:, :-p]
+            p *= 2
+        for b, last in enumerate(P[:, -1]):
+            S[b] = x
+            x = last @ x
+        X = (P.reshape(blocks, _BLOCK * m, m) @ S[:, :, None]).reshape(-1, m)
+    return _finite(X[:K])
+
+
 def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -83,8 +111,9 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
         )
     bp = u.breakpoints
     inner = bp[(bp > t0) & (bp < grid[-1])]
-    events = np.union1d(grid, inner)
-    wanted = np.isin(events, grid, assume_unique=True)
+    # one sort of grid then breakpoints: a time in both is first met in grid
+    events, first = np.unique(np.concatenate([grid, inner]), return_index=True)
+    wanted = first < grid.size
 
     # step k runs from starts[k] to events[k] at the level in force at its
     # start; one complex key per step, level + i length, finds the distinct
@@ -97,26 +126,7 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     xa = np.array(x0, dtype=float)
     if t.kind == TYPE_I:
         xa = np.append(xa, 1.0)
-    m = xa.size
-    # the steps in blocks of _BLOCK, padded with identities; doubling turns
-    # each block into its prefix products, P[b, i] = step i of b ... step 0
-    # of b, and the state entering block b carries over from block b - 1
-    K = which.size
-    P = np.empty((-(-K // _BLOCK) * _BLOCK, m, m))
-    P[:K] = Phi[which]
-    P[K:] = np.eye(m)
-    P = P.reshape(-1, _BLOCK, m, m)
-    S = np.empty((len(P), m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = 1
-        while p < _BLOCK:
-            P[:, p:] = P[:, p:] @ P[:, :-p]
-            p *= 2
-        for b, last in enumerate(P[:, -1]):
-            S[b] = xa
-            xa = last @ xa
-        X = (P.reshape(len(P), -1, m) @ S[:, :, None]).reshape(-1, m)[:K]
-    states = _finite(X)[wanted, :t.n]
+    states = _chain(Phi, which, xa)[wanted, :t.n]
     return Trajectory(grid, states @ t.c, states if with_states else None)
 
 
@@ -180,9 +190,11 @@ def sample_discrete(t: FourTuple, tau: float, u_seq):
     tau, x_{k+1} = F(u_k) x_k + u_k g(u_k) with F(u) = expm((A + uN) tau)
     and g(u) = phi1(A + uN, tau) b, from x_0 = 0; returns [(x_k, y_k)] for
     k = 0 .. len(u_seq). Each distinct level u gets one homogeneous map
-    [[F(u), u g(u)], [0, 1]] on [x; 1], from one stacked call of expm and
-    one of phi1 for all the levels, and the recursion applies them in
-    turn."""
+    [[F(u), u g(u)], [0, 1]] on [x; 1]. F(u) and phi1(A + uN, tau) are
+    the top blocks of one exponential of phi1's block [[A + uN, I], [0, 0]],
+    one stacked call for all the levels. The maps are built here, not from
+    the march's generators, so the two simulators check each other; what
+    they share is _chain, which applies the maps in blocks."""
     if t.kind != TYPE_I:
         raise ValueError("sampled recursion applies to kind-I systems")
     if not tau > 0:
@@ -190,13 +202,11 @@ def sample_discrete(t: FourTuple, tau: float, u_seq):
     levels, which = np.unique(np.asarray(u_seq, dtype=float),
                               return_inverse=True)
     n = t.n
-    G = t.A + np.multiply.outer(levels, t.N)
+    block = _phi1_block(t.A + np.multiply.outer(levels, t.N), tau)
     maps = np.zeros((levels.size, n + 1, n + 1))
-    maps[:, :n, :n] = expm(G * tau)
-    maps[:, :n, n] = levels[:, None] * (phi1(G, tau) @ t.b)
+    maps[:, :n, :n] = block[:, :n, :n]
+    maps[:, :n, n] = levels[:, None] * (block[:, :n, n:] @ t.b)
     maps[:, n, n] = 1.0
-    X = np.empty((which.size + 1, n + 1))
-    X[0] = x = np.eye(n + 1)[n]
-    for k, j in enumerate(which.tolist(), 1):
-        X[k] = x = maps[j] @ x
+    x = np.eye(n + 1)[n]
+    X = np.concatenate([[x], _chain(maps, which, x)])
     return list(zip(X[:, :n], (X[:, :n] @ t.c).tolist()))

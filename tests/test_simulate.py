@@ -267,6 +267,44 @@ class TestSampled:
         with pytest.raises(ValueError):
             sample_discrete(_random_system(12), 0.0, [1.0])
 
+    def test_empty_train_is_the_start_alone(self):
+        t = _random_system(13)
+        (x0, y0), = sample_discrete(t, 1.0, [])
+        assert x0.shape == (t.n,) and np.all(x0 == 0) and y0 == 0.0
+
+    @pytest.mark.parametrize("periods", [1, 15, 16, 17, 33])
+    def test_block_seams_match_a_step_by_step_recursion(self, periods):
+        # the recursion applies its maps in blocks of 16; counts on either
+        # side of a seam must match one matvec per level from F(u) and g(u)
+        # built here, each state and output on its own scale
+        t = _random_system(71, "I")
+        tau = 0.625
+        levels = np.random.default_rng(72).choice([-1.0, 0.5, 1.0], periods)
+        samples = sample_discrete(t, tau, levels)
+        x, X = np.zeros(t.n), [np.zeros(t.n)]
+        for v in levels:
+            G = t.A + v * t.N
+            x = scipy.linalg.expm(tau * G) @ x + v * phi1(G, tau) @ t.b
+            X.append(x)
+        X = np.array(X)
+        got = np.array([x for x, _ in samples])
+        Y = np.array([y for _, y in samples])
+        assert got.shape == X.shape == (periods + 1, t.n)
+        scale = np.max(np.abs(X), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - X) <= 1e-13 * scale)
+        assert np.all(np.abs(Y - X @ t.c) <= 1e-13 * (np.abs(X) @ np.abs(t.c)))
+
+    def test_overflowing_state_raises(self):
+        # each map is finite (about e^40), but forty periods of it are not:
+        # Overflow, as simulate raises on the same train, never a NaN sample
+        t = FourTuple([[-1.0, 0.0], [0.0, 40.0]], np.zeros((2, 2)),
+                      [1.0, 1.0], [1.0, 0.0])
+        u = PiecewiseConstantInput(np.arange(40.0), np.ones(40), 41.0)
+        with pytest.raises(Overflow):
+            simulate(t, u, np.arange(1.0, 41.0))
+        with pytest.raises(Overflow):
+            sample_discrete(t, 1.0, np.ones(40))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_recursion_matches_simulation(self, seed):
@@ -282,26 +320,27 @@ class TestSampled:
             assert abs(tr.outputs[k - 1] - samples[k][1]) < 1e-10
 
     def test_long_train_matches_simulation(self, monkeypatch):
-        # 100 levels cross several blocks of the march, and 0.0 and -0.0
-        # share one map of the recursion: expm and phi1 are each called
-        # once, on a stack of three levels
+        # 100 levels cross several blocks of the chain, and 0.0 and -0.0
+        # share one map of the recursion: one exponential, on a stack of
+        # three 2n x 2n blocks [[G, I], [0, 0]], gives every F(u) and g(u).
+        # Every binding of expm is counted, the one phi1 goes through too
         asked = []
-        module = sys.modules["bilinid.simulate"]
 
         def counted(fn):
-            def wrapper(G, *args):
-                asked.append((fn.__name__, len(G)))
-                return fn(G, *args)
+            def wrapper(M):
+                asked.append(np.shape(M))
+                return fn(M)
             return wrapper
 
-        for name in ("expm", "phi1"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for module in ("bilinid.simulate", "bilinid.matfun"):
+            monkeypatch.setattr(sys.modules[module], "expm",
+                                counted(sys.modules[module].expm))
         rng = np.random.default_rng(61)
         t = _random_system(62, "I", scale=0.5)
         tau = 0.375
         levels = rng.choice([-1.0, -0.0, 0.0, 1.0], size=100)
         samples = sample_discrete(t, tau, levels)
-        assert sorted(asked) == [("expm", 3), ("phi1", 3)]
+        assert asked == [(3, 2 * t.n, 2 * t.n)]
         u = PiecewiseConstantInput(tau * np.arange(100), levels,
                                    100 * tau + 1.0)
         tr = simulate(t, u, tau * np.arange(1, 101), with_states=True)

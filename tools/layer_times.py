@@ -1,5 +1,6 @@
 """Time the layers of the counterexample pairs on the pulse-pairs
-benchmark's items (seed 1), in one process on one BLAS thread.
+benchmark's items, and the two simulators on the trains benchmark's items
+(seed 1), in one process on one BLAS thread.
 
     python tools/layer_times.py [--tree TREE]
 
@@ -12,7 +13,10 @@ be timed on the same items. It prints:
   call replayed with the arguments the pair constructor passed when it
   built that item's pair;
 - pairs per second for each class: single-pulse, pulse-family, constants
-  (the pulse family at tau = 0) and sampled.
+  (the pulse family at tau = 0) and sampled;
+- µs per call of simulate and sample_discrete over the trains items, as
+  the trains workload calls them, and simulate's outputs per second (grid
+  points returned per second of simulate).
 
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
@@ -98,6 +102,20 @@ def main(argv=None):
     for label, calls in classes.items():
         us = best_us(calls, REPS // 10)
         print(f"{1e6 / us:9.0f} pairs/s  {label} ({len(calls)} per round)")
+
+    work = workloads.Trains()
+    items = work.generate(workloads.rng_for(work.name, SEED))
+    simulate = [lambda t=t, u=u, grid=grid: bl.simulate(t, u, grid)
+                for t, u, grid, _ in items]
+    us = best_us(simulate, REPS // 10)
+    print(f"{us:9.1f} µs/call  bilinid.simulate ({len(items)} trains)")
+    outputs = sum(len(grid) for _, _, grid, _ in items)
+    print(f"{1e6 * outputs / (us * len(items)):9.0f} outputs/s  "
+          f"bilinid.simulate ({outputs} per round)")
+    sampled = [lambda t=t, u=u: bl.sample_discrete(t, work.TAU, u.levels)
+               for t, u, _, _ in items]
+    us = best_us(sampled, REPS // 10)
+    print(f"{us:9.1f} µs/call  bilinid.sample_discrete ({len(items)} trains)")
 
 
 if __name__ == "__main__":
