@@ -179,7 +179,7 @@ def _cmd_check_equiv(args):
 
 
 def _cmd_check_canonical(args):
-    gap = _canonical_gap(_load_tuple(args.system), _tolerances(args.tol))
+    gap, = _canonical_gap(_load_tuple(args.system), tol=_tolerances(args.tol))
     reason = None if gap is None else f"{gap[0]} rank {gap[1]}"
     _emit({"canonical": gap is None, "reason": reason}, args.out)
     return 0

@@ -46,7 +46,7 @@ from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
 from .matfun import DEFAULT_TOL, Tolerances, _logm_flows, expm, rank_of
 from .realization import is_canonical, krylov
-from .simulate import _generators, _start
+from .simulate import _finite, _generators, _start
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     pulse-end states x(w) from the generator of the pulse level (the
     augmented block on [x; 1] for kind I, as simulate steps it), and the
     coast rows c e^{A s} from A, padded with a zero row and column to the
-    generator's size for kind I; the records are their products.
+    generator's size for kind I; the records are their products, and a
+    record beyond the float range raises Overflow.
     respond(tau, t) is the one-experiment design [min(t, tau)] x
     [t - min(t, tau)]: a time under the pulse is the end of a pulse of
     that width."""
@@ -117,8 +118,9 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
             raise ValueError("widths and offsets must be nonnegative")
         E = expm(np.concatenate([w[:, None, None] * gen,
                                  s[:, None, None] * coast]))
-        X = (E[:w.size] @ z0)[:, :t.n]
-        return (t.c @ E[w.size:, :t.n, :t.n]) @ X.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = (E[:w.size] @ z0)[:, :t.n]
+            return _finite((t.c @ E[w.size:, :t.n, :t.n]) @ X.T, "record")
 
     def respond(tau: float, time: float) -> float:
         w = min(time, tau)
@@ -221,11 +223,12 @@ def _shift(H1, Un, Vn, root):
 def _joint(oracle, m, step, tau0, tol):
     """One attempt at h = delta = step: one record, one SVD of its Hankel
     H0, both shifts and both off-grid checks. Returns (A, G, b, c) and the
-    diagnostics."""
+    diagnostics; a record that is not finite, from either oracle path,
+    raises Overflow."""
     kind_i = oracle.kind == TYPE_I
     Y = _records(oracle, np.append(step * np.arange(m + 1 + kind_i), tau0),
                  np.append(step * np.arange(m + 1), tau0))
-    scale = float(np.max(np.abs(Y)))
+    scale = float(_finite(np.max(np.abs(Y)), "record"))
     if scale <= 1e-300:
         raise OrderAmbiguous("response is identically zero")
     y_tau0 = Y[:m, -1]

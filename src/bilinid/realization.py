@@ -18,14 +18,22 @@ layer is built from is compressed to R' from one QR factorization
 X' = Q R: at most n columns, same Gram matrix.
 The code keeps each layer as its rows Z_k = X_k', so one product
 Z_k [A', N'] and a reshape give the next. [A, N] is pre-scaled to unit
-2-norm and each layer to unit 2-norm, which scales P_k by one factor per
-length: nothing overflows, and every test below is relative, one length at
-a time. Time scaling (A, N, b) -> s (A, N, b) leaves the layers unchanged.
+2-norm, and each layer that equivalence judges to unit 2-norm, which scales
+P_k by one factor per length: nothing overflows, and every test below is
+relative, one length at a time. Time scaling (A, N, b) -> s (A, N, b)
+leaves the layers unchanged.
 
-Canonicality and similarity stack the layers with each layer weighted by
-its growth, so the stack is the products of the pre-scaled system: a layer
-that is only rounding noise (a word that vanishes by structure, in a
-changed basis) stays at its rounding size and adds no direction.
+Canonicality and similarity need every layer up to length n-1 at once, not
+a verdict per length, so _span builds them unscaled: with [A', N'] and v
+at unit 2-norm (the 2-norm of the entries, as everywhere here),
+||Z [A', N']|| <= ||Z||, so no layer grows past v and nothing overflows.
+The stack is then the products of the pre-scaled system: a layer that is
+only rounding noise (a word that vanishes by structure, in a changed
+basis) stays at its rounding size and adds no direction. _span runs a
+stack of systems of one n in one loop, so _canonical_gap decides the
+reachability and observability sides of every tuple it is given from one
+stacked span and one batched SVD; similarity_between checks both its
+tuples in one call.
 
 Equivalence runs the layers of the stacked pair (A1 (+) A2, N1 (+) N2,
 [b1; b2]), each member first balanced by the change of basis that makes
@@ -36,7 +44,9 @@ failing length is built.
 ||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
 length k, and length k fails when it exceeds residual_tol times the larger
 coefficient norm of the two tuples, max(||c1 X_k^top||, ||c2 X_k^bot||),
-plus a rounding allowance. The allowance (unit r = [c1, -c2] / ||.||) is
+plus a rounding allowance. One product Z_k R reads all three, with
+R = [r1 (+) 0, 0 (+) r2, r] for the unit r = [c1, -c2] / ||.||: its column
+norms are the two members' shares and the difference. The allowance is
 err_k = u (1 + sum_{1<=j<=k} 1/g_j), u = 8 eps n, where g_j <= 1 is the growth
 of layer j before it is scaled: each product adds rounding of u relative to
 the layer it came from. A coefficient that vanishes by structure (c b = 0,
@@ -50,6 +60,7 @@ negligible, ||r A X_j|| <= residual_tol ||r N X_j|| plus its allowance.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,41 +107,54 @@ def _norm(x):
 
 def _layers(step, v, count):
     """Word layers from v for lengths 0 .. count, each as its rows
-    Z_k = X_k' (module docstring), under step = [A', N'] scaled to unit
-    2-norm (z -> [z A', z N'] for the pre-scaled A and N). Yields
-    (Z_k, err_k, growth_k) with err_k the rounding allowance of layer k and
-    growth_k the norm of P_k for unit v. A layer is built only when asked
-    for, so a caller that stops at a length builds no longer layer."""
+    Z_k = X_k' (module docstring) scaled to unit 2-norm, under
+    step = [A', N'] scaled to unit 2-norm (z -> [z A', z N'] for the
+    pre-scaled A and N). Yields (Z_k, err_k) with err_k the rounding
+    allowance of layer k. A layer is built only when asked for, so a caller
+    that stops at a length builds no longer layer."""
     n = v.size
     u = _ROUND * n
-    Z, e, norm = _unit(v.reshape(1, n))[0], u, 1.0
+    Z, e = _unit(v.reshape(1, n))[0], u
     for k in range(1, count + 1):
-        yield Z, e, norm
+        yield Z, e
         Z = (Z @ step).reshape(-1, n)
         if Z.shape[0] > 4 * n and k < count:    # the last layer grows no more
             Z = np.linalg.qr(Z, mode="r")
         g = _norm(Z)
-        Z, e, norm = (Z / g if g else Z), e + (u / g if g else 0.0), norm * g
-    yield Z, e, norm
+        Z, e = (Z / g if g else Z), e + (u / g if g else 0.0)
+    yield Z, e
 
 
 def _span(A, N, v, count):
-    """The word layers of (A, N, v) up to length count stacked as rows, each
-    weighted by its growth: the products of the pre-scaled system, so a
-    layer that is only rounding noise stays as small as it is."""
-    step, _ = _unit(np.hstack([A.T, N.T]))     # z -> [z A', z N']
-    return np.vstack([g * Z for Z, _, g in _layers(step, v, count)])
+    """The word layers of each system (A[i], N[i], v[i]) of a stack, all of
+    one n, up to length count, stacked as rows: span[i] holds the products
+    of the pre-scaled system from the unit v[i], no layer rescaled (module
+    docstring), so a layer that is only rounding noise stays as small as it
+    is."""
+    n = v.shape[1]
+    # z -> [z A', z N'] for each system
+    step = _unit(np.concatenate([A, N], 1).transpose(0, 2, 1), stack=True)
+    Z = _unit(v, stack=True)[:, None]
+    layers = [Z]
+    for j in range(1, count + 1):
+        Z = (Z @ step).reshape(len(v), -1, n)
+        if Z.shape[1] > 4 * n and j < count:    # the last layer grows no more
+            Z = np.linalg.qr(Z, mode="r")
+        layers.append(Z)
+    return np.concatenate(layers, axis=1)
 
 
-def _difference(s1: FourTuple, s2: FourTuple) -> FourTuple:
+def _difference(s1: FourTuple, s2: FourTuple):
     """The block-diagonal system whose output is y1 - y2 under any input:
-    (A1 (+) A2, N1 (+) N2, [b1; b2], [c1, -c2]), of the kind both share."""
+    (A1 (+) A2, N1 (+) N2, [b1; b2], [c1, -c2]), of the kind both share.
+    A private record with a FourTuple's fields and n, left unvalidated:
+    both members are validated tuples already."""
     n1, n = s1.n, s1.n + s2.n
     A, N = np.zeros((2, n, n))
     A[:n1, :n1], A[n1:, n1:] = s1.A, s2.A
     N[:n1, :n1], N[n1:, n1:] = s1.N, s2.N
-    return FourTuple(A, N, np.concatenate([s1.b, s2.b]),
-                     np.concatenate([s1.c, -s2.c]), s1.kind)
+    return SimpleNamespace(A=A, N=N, b=np.concatenate([s1.b, s2.b]),
+                           c=np.concatenate([s1.c, -s2.c]), kind=s1.kind, n=n)
 
 
 def _balanced(t: FourTuple):
@@ -152,20 +176,23 @@ def krylov(A, v):
     return np.column_stack(cols)
 
 
-def _canonical_gap(t: FourTuple, tol: Tolerances):
-    """The first of t's extended reachability and observability spans (the
-    word layers of (A, N, b) and of (A', N', c) up to length n-1) whose
-    rank falls short of n, as (side, rank); None when t is canonical."""
-    for side, A, N, v in (("reachability", t.A, t.N, t.b),
-                          ("observability", t.A.T, t.N.T, t.c)):
-        r = rank_of(_span(A, N, v, t.n - 1), tol)
-        if r < t.n:
-            return side, r
-    return None
+def _canonical_gap(*ts: FourTuple, tol: Tolerances):
+    """For each of the tuples ts, all of one n, the first of its extended
+    reachability and observability spans (the word layers of (A, N, b) and
+    of (A', N', c) up to length n-1) whose rank falls short of n, as
+    (side, rank); None for a canonical tuple. One stacked span and one
+    batched SVD decide every side, each rank cut as rank_of cuts it."""
+    n = ts[0].n
+    A, N, v = map(np.array, zip(*[side for t in ts for side in (
+        (t.A, t.N, t.b), (t.A.T, t.N.T, t.c))]))
+    s = np.linalg.svd(_span(A, N, v, n - 1), compute_uv=False)
+    ranks = np.count_nonzero(s > tol.rank_tol * s[:, :1], axis=1)
+    return [("reachability", r) if r < n else ("observability", o) if o < n
+            else None for r, o in ranks.reshape(-1, 2).tolist()]
 
 
 def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return _canonical_gap(t, tol) is None
+    return _canonical_gap(t, tol=tol)[0] is None
 
 
 def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
@@ -178,10 +205,13 @@ def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
     (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
     step, _ = _unit(np.hstack([d.A.T, d.N.T]))
     r, _ = _unit(np.concatenate([c1, -c2]))
+    R = np.zeros((d.n, 3))       # [r1 (+) 0, 0 (+) r2, r]
+    R[:n1, 0], R[n1:, 1], R[:, 2] = r[:n1], r[n1:], r
     layers, err = [], []
-    for Z, e, _ in _layers(step, np.concatenate([b1, b2]), d.n):
-        size = max(_norm(Z[:, :n1] @ r[:n1]), _norm(Z[:, n1:] @ r[n1:]))
-        if _norm(Z @ r) > tol.residual_tol * size + e:
+    for Z, e in _layers(step, np.concatenate([b1, b2]), d.n):
+        Y = Z @ R
+        top, bottom, gap = np.sqrt((Y * Y).sum(axis=0)).tolist()
+        if gap > tol.residual_tol * max(top, bottom) + e:
             return False, _lex_first(r, layers, err, step, tol)
         layers.append(Z)
         err.append(e)
@@ -248,13 +278,15 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     T = top @ pinv(bottom). Both tuples must be canonical. Each residual
     is relative to the first tuple's own A, N, b or c. Raises NotSimilar
     with the residual report when the relations fail."""
-    for name, t in (("first", t1), ("second", t2)):
-        if not is_canonical(t, tol):
+    gaps = (_canonical_gap(t1, t2, tol=tol) if t1.n == t2.n else
+            _canonical_gap(t1, tol=tol) + _canonical_gap(t2, tol=tol))
+    for name, gap in zip(("first", "second"), gaps):
+        if gap is not None:
             raise NotCanonical(f"{name} tuple is not canonical")
     if t1.n != t2.n:
         raise NotSimilar(f"dimensions differ: {t1.n} vs {t2.n}")
     d = _difference(t1, t2)
-    X = _span(d.A, d.N, d.b, t1.n - 1).T
+    X = _span(d.A[None], d.N[None], d.b[None], t1.n - 1)[0].T
     T = X[:t1.n] @ pinv_rank(X[t1.n:], tol)[0]
     try:
         Tinv = np.linalg.inv(T)

@@ -68,9 +68,9 @@ def _start(t: FourTuple):
     return np.eye(t.n + 1)[-1] if t.kind == TYPE_I else t.b
 
 
-def _finite(X):
-    if not np.all(np.isfinite(X)):
-        raise Overflow("state exceeds the representable range")
+def _finite(X, what="state"):
+    if not np.isfinite(X).all():
+        raise Overflow(f"{what} exceeds the representable range")
     return X
 
 

@@ -7,7 +7,7 @@ from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
                      oracle_from_tuple, realize_free_response, recover_states,
                      respond_pulse, sample_in_M, similarity_between)
 from bilinid.errors import (BilinError, NotCanonicalResult, OrderAmbiguous,
-                            PoorFit, UnobservablePair)
+                            Overflow, PoorFit, UnobservablePair)
 
 LOOSE = Tolerances(rank_tol=1e-10, residual_tol=1e-5, agree_tol=1e-7)
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
@@ -193,6 +193,29 @@ class TestIdentify:
         # included) is no order at all, and 2.5 used to reach an index
         with pytest.raises(ValueError, match="n_max"):
             IdentifyConfig(n_max=n_max)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("n_max", [2, 8])
+    def test_overflowing_record_is_overflow(self, scalar, n_max):
+        # e^{400 t} leaves the float range inside the design: Overflow, as
+        # simulate raises, never a response that "vanishes on the grid"
+        # (at n_max = 2 the record overflows, at 8 its expm already does)
+        t = FourTuple(np.diag([400.0, -1.0]), [[0.1, 0.2], [0.3, 0.1]],
+                      [1.0, 1.0], [1.0, 1.0])
+        oracle = oracle_from_tuple(t, 1.0)
+        if scalar:
+            oracle = PulseOracle(oracle.respond, oracle.alpha, oracle.kind)
+        with pytest.raises(Overflow):
+            identify(oracle, IdentifyConfig(n_max=n_max),
+                     rng=np.random.default_rng(0))
+
+    def test_oracle_giving_infinity_is_overflow(self):
+        # an oracle of its own that returns inf instead of raising
+        blowup = PulseOracle(lambda tau, t: np.exp(400.0 * t) if t < 1.7
+                             else np.inf, 1.0, TYPE_I)
+        with pytest.raises(Overflow):
+            identify(blowup, IdentifyConfig(n_max=2),
+                     rng=np.random.default_rng(0))
 
     def test_silent_system_is_ambiguous(self):
         silent = PulseOracle(lambda tau, t: 0.0, 1.0, TYPE_I)

@@ -8,8 +8,9 @@ from bilinid import (DEFAULT_TOL, TYPE_II, FourTuple, Tolerances, conjugate,
                      sampled_pair, self_dual_T, series_coefficient,
                      similarity_between, single_pulse_pair, twin_via_T)
 from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
-from bilinid.realization import (_balanced, _difference, _layers, _lex_first,
-                                 _norm, _span, _unit)
+from bilinid.matfun import rank_of
+from bilinid.realization import (_balanced, _canonical_gap, _difference,
+                                 _layers, _lex_first, _norm, _span, _unit)
 
 from oracles import all_words, brute_coefficient, word_product, word_row
 
@@ -94,19 +95,21 @@ class TestReachability:
     def test_extended_reach_spans_the_words(self, t):
         words = all_words(t.n - 1)
         W = np.column_stack([word_product(t, w) for w in words])
-        assert _same_span(_span(t.A, t.N, t.b, t.n - 1).T, W)
+        assert _same_span(_span(t.A[None], t.N[None], t.b[None], t.n - 1)[0].T,
+                          W)
 
     @pytest.mark.parametrize("t", SPAN_CASES, ids=SPAN_IDS)
     def test_extended_obs_spans_the_words(self, t):
         words = all_words(t.n - 1)
         W = np.column_stack([word_row(t, w) for w in words])
-        assert _same_span(_span(t.A.T, t.N.T, t.c, t.n - 1).T, W)
+        assert _same_span(
+            _span(t.A.T[None], t.N.T[None], t.c[None], t.n - 1)[0].T, W)
 
     def test_thirty_states_have_no_cap(self):
         n = 30
         t = _random_tuple(7, n=n, scale=1.0 / np.sqrt(n))
-        R = _span(t.A, t.N, t.b, n - 1).T
-        O = _span(t.A.T, t.N.T, t.c, n - 1)
+        R = _span(t.A[None], t.N[None], t.b[None], n - 1)[0].T
+        O = _span(t.A.T[None], t.N.T[None], t.c[None], n - 1)[0]
         # one block per length, each at most 4n wide
         assert R.shape[0] == O.shape[1] == n
         assert R.shape[1] <= 4 * n * n and O.shape[0] <= 4 * n * n
@@ -142,6 +145,75 @@ class TestReachability:
 
 def rank_deficient_linear(t):
     return np.linalg.matrix_rank(krylov(t.A, t.b)) < t.n
+
+
+def _weighted_layers(A, N, v, count):
+    """The growth-weighted reference for _span's layers of (A, N, v): each
+    layer scaled to unit 2-norm as it is built, then weighted back by its
+    growth, so the same products come out with another rounding."""
+    n = v.size
+    step, _ = _unit(np.hstack([A.T, N.T]))
+    Z, norm = _unit(v.reshape(1, n))[0], 1.0
+    layers = [Z]
+    for k in range(1, count + 1):
+        Z = (Z @ step).reshape(-1, n)
+        if Z.shape[0] > 4 * n and k < count:
+            Z = np.linalg.qr(Z, mode="r")
+        g = _norm(Z)
+        Z, norm = (Z / g if g else Z), norm * g
+        layers.append(norm * Z)
+    return layers
+
+
+def _sides(t):
+    """The reachability and observability systems of t, as _span takes
+    them: (A, N, v) stacks of two."""
+    return [np.array(x) for x in zip((t.A, t.N, t.b), (t.A.T, t.N.T, t.c))]
+
+
+def _gap_by_rank_of(t):
+    """_canonical_gap of t one side at a time: rank_of of each side's
+    weighted span in turn, reachability first."""
+    for side, A, N, v in zip(("reachability", "observability"), *_sides(t)):
+        r = rank_of(np.vstack(_weighted_layers(A, N, v, t.n - 1)))
+        if r < t.n:
+            return side, r
+    return None
+
+
+DEAD = FourTuple(A2, E11, np.zeros(2), C2)           # b = 0: no reach
+BLIND = FourTuple(A2.T, E11, C2, np.zeros(2))        # c = 0: no obs
+DIAGONAL = FourTuple(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
+                     [1.0, 0.0], [1.0, 0.0])         # short on both sides
+
+
+class TestStackedSpan:
+    @pytest.mark.parametrize("t", SPAN_CASES + [_random_tuple(8, n=7)],
+                             ids=SPAN_IDS + ["seven"])
+    def test_unscaled_stack_matches_the_weighted_span(self, t):
+        # at n = 7 the layer of length 5 (32 rows) is compressed by QR
+        stack = _span(*_sides(t), t.n - 1)
+        for S, A, N, v in zip(stack, *_sides(t)):
+            ref = _weighted_layers(A, N, v, t.n - 1)
+            assert rank_of(S) == rank_of(np.vstack(ref))
+            rows = np.cumsum([len(Z) for Z in ref])
+            assert rows[-1] == len(S)
+            for Z, W in zip(np.split(S, rows[:-1]), ref):
+                assert np.linalg.norm(Z - W) <= 1e-13 * np.linalg.norm(W)
+
+    def test_batched_gap_is_the_gap_of_each_tuple(self):
+        rng = np.random.default_rng(3)
+        cases = [_shift_pair(E11), DEAD, BLIND, DIAGONAL,
+                 FourTuple(A2, E22, [1.0, 0.0], [1.0, 1.0])]
+        cases += [conjugate(t, _conditioned(rng, 2)) for t in cases]
+        gaps = _canonical_gap(*cases, tol=DEFAULT_TOL)
+        assert gaps == [_canonical_gap(t, tol=DEFAULT_TOL)[0] for t in cases]
+        assert gaps == [_gap_by_rank_of(t) for t in cases]
+        assert gaps[:5] == [None, ("reachability", 0), ("observability", 0),
+                            ("reachability", 1), ("reachability", 1)]
+        plane = _invariant_plane(4)
+        assert _canonical_gap(plane, _random_tuple(5, n=3),
+                              tol=DEFAULT_TOL) == [("reachability", 2), None]
 
 
 class TestIoEquivalence:
@@ -315,7 +387,7 @@ def _full_build_verdict(t1, t2, tol=DEFAULT_TOL):
     d = _difference(t1, t2)
     (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
     step, _ = _unit(np.hstack([d.A.T, d.N.T]))
-    layers, err, _ = zip(*_layers(step, np.concatenate([b1, b2]), d.n))
+    layers, err = zip(*_layers(step, np.concatenate([b1, b2]), d.n))
     assert len(layers) == d.n + 1
     r, _ = _unit(np.concatenate([c1, -c2]))
     for k, Z in enumerate(layers):
@@ -476,6 +548,20 @@ class TestSimilarity:
         t1 = FourTuple([[(-0.5)]], [[0.25]], [2.0], [0.5])
         with pytest.raises(NotSimilar):
             similarity_between(t1, _shift_pair(E11))
+
+    def test_first_noncanonical_tuple_is_reported(self):
+        # each tuple's verdict is its own, of one n or not, and canonicality
+        # is checked before the dimensions
+        t1 = FourTuple([[(-0.5)]], [[0.25]], [2.0], [0.5])
+        shift = _shift_pair(E11)
+        for a, b, name in [(DEAD, BLIND, "first"), (BLIND, DEAD, "first"),
+                           (shift, DIAGONAL, "second"),
+                           (DIAGONAL, shift, "first"), (t1, DEAD, "second"),
+                           (_invariant_plane(4), shift, "first")]:
+            with pytest.raises(NotCanonical, match=f"^{name} tuple is not"):
+                similarity_between(a, b)
+        with pytest.raises(NotSimilar, match="dimensions differ: 2 vs 1"):
+            similarity_between(shift, t1)
 
 
 class TestSelfDualT:

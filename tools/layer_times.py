@@ -1,6 +1,7 @@
 """Time the layers of the counterexample pairs on the pulse-pairs
-benchmark's items, and the two simulators on the trains benchmark's items
-(seed 1), in one process on one BLAS thread.
+benchmark's items, the two simulators on the trains benchmark's items and
+the realization verdicts on the equivalence benchmark's items (seed 1), in
+one process on one BLAS thread.
 
     python tools/layer_times.py [--tree TREE]
 
@@ -16,7 +17,10 @@ be timed on the same items. It prints:
   (the pulse family at tau = 0) and sampled;
 - µs per call of simulate and sample_discrete over the trains items, as
   the trains workload calls them, and simulate's outputs per second (grid
-  points returned per second of simulate).
+  points returned per second of simulate);
+- µs per call by n of io_equivalent against the conjugate and against the
+  twin, is_canonical and similarity_between, over the equivalence items,
+  as the equivalence workload calls them.
 
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
@@ -116,6 +120,23 @@ def main(argv=None):
                for t, u, _, _ in items]
     us = best_us(sampled, REPS // 10)
     print(f"{us:9.1f} µs/call  bilinid.sample_discrete ({len(items)} trains)")
+
+    work = workloads.Equivalence()
+    items = work.generate(workloads.rng_for(work.name, SEED))
+    labels = {"equivalent": "io_equivalent (conjugate)",
+              "twin": "io_equivalent (twin)", "canonical": "is_canonical",
+              "similarity": "similarity_between"}
+    groups = {}
+    for item in items:
+        groups.setdefault(item[0], {}).setdefault(item[1].n, []).append(
+            lambda item=item: work.run(item))
+    sizes = sorted(groups["canonical"])
+    print(f"µs/call by n over the equivalence items "
+          f"({len(items) // len(labels) // len(sizes)} per kind and n)")
+    print(f"{'':26}" + "".join(f"{f'n={n}':>9}" for n in sizes))
+    for kind, label in labels.items():
+        print(f"{label:26}" + "".join(
+            f"{best_us(groups[kind][n], REPS // 3):9.1f}" for n in sizes))
 
 
 if __name__ == "__main__":
