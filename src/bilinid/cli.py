@@ -10,15 +10,14 @@ Exit codes: 0 success, 1 usage problems (bad flags, unreadable files),
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .acceptance import ALL_CRITERIA
-from .core import (INPUT_CLASS_KINDS, TYPE_II, _dumps, _loads, from_json,
-                   input_from_dict, pair_to_json, seeded_rng, to_json,
+from .core import (INPUT_CLASS_KINDS, TYPE_II, _dumps, _loads, _tuple_dict,
+                   from_json, input_from_dict, pair_to_json, seeded_rng,
                    trajectory_to_json)
 from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
                         sample_in_C, sample_in_G0, sampled_pair,
@@ -222,7 +221,7 @@ def _cmd_identify(args):
                    IdentifyConfig(n_max=args.n_max), tol,
                    seeded_rng(args.rng_seed, "identify"))
     _emit({"n": res.n_identified,
-           "tuple": json.loads(to_json(res.tuple)),
+           "tuple": _tuple_dict(res.tuple),
            "diagnostics": res.diagnostics}, args.out)
     return 0
 

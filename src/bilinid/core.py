@@ -285,8 +285,9 @@ def _loads(text: str):
         raise ParseError(f"invalid JSON: {e.msg}", position=e.pos) from None
 
 
-def to_json(t: FourTuple) -> str:
-    doc = {
+def _tuple_dict(t: FourTuple) -> dict:
+    """The JSON document of t, before it is dumped."""
+    return {
         "n": t.n,
         "kind": t.kind,
         "A": _enc_mat(t.A),
@@ -294,7 +295,10 @@ def to_json(t: FourTuple) -> str:
         "b": _enc_vec(t.b),
         "c": _enc_vec(t.c),
     }
-    return _dumps(doc)
+
+
+def to_json(t: FourTuple) -> str:
+    return _dumps(_tuple_dict(t))
 
 
 def tuple_from_dict(doc) -> FourTuple:
@@ -352,8 +356,8 @@ def input_from_dict(doc) -> PiecewiseConstantInput:
 
 def pair_to_json(p: CounterexamplePair) -> str:
     doc = {
-        "sigma": json.loads(to_json(p.sigma)),
-        "sigma_hat": json.loads(to_json(p.sigma_hat)),
+        "sigma": _tuple_dict(p.sigma),
+        "sigma_hat": _tuple_dict(p.sigma_hat),
         "input_class": {
             "kind": p.input_class.kind,
             "tau": None if p.input_class.tau is None else _enc(p.input_class.tau),

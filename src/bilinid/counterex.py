@@ -44,8 +44,8 @@ from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
                      NotInBalpha, NotInC, NotInG0, NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import (_difference, _moment_gap, _self_dual,
-                          io_equivalent, krylov)
+from .realization import (_difference, _linear_ranks, _moment_gap,
+                          _self_dual, io_equivalent, krylov)
 from .simulate import _generators, _power_table, _pulse_peaks, _start
 
 
@@ -56,10 +56,6 @@ class ClassMembership:
     in_M: bool
     in_B_alpha: Optional[bool]
     diagnostics: dict
-
-
-def _linear_ranks(A, b, c, tol):
-    return rank_of(krylov(A, b), tol), rank_of(krylov(A.T, c).T, tol)
 
 
 def _g0_T(t, tol, diag):
@@ -140,14 +136,31 @@ def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:
     return FourTuple(t.A, _twin(T, t.N), t.b, t.c, t.kind)
 
 
+def _pair(sigma, sigma_hat, input_class, residual, u, tol):
+    """The pair of a constructor, with the agreement residual and the
+    distinguishing input u its certificates gave, and the first word on
+    which io_equivalent finds the members differ."""
+    _, word = io_equivalent(sigma, sigma_hat, tol)
+    return CounterexamplePair(sigma, sigma_hat, input_class, residual, word, u)
+
+
 # -- single pulse -------------------------------------------------------------
+
+def _psi_b(Q, b0):
+    """psi's drive det(rho(Q)) rho(Q)^{-1} b0, rho(Q) = int_0^1 e^{sQ} ds."""
+    rho = phi1(Q, 1.0)
+    return float(np.linalg.det(rho)) * np.linalg.solve(rho, np.ravel(b0))
+
+
+def _rescaled(A, N, b, tau, alpha):
+    """rescale's rule on arrays: (A/tau, N/(alpha tau), b/(alpha tau))."""
+    return A / tau, N / (alpha * tau), b / (alpha * tau)
+
 
 def psi(Q, N, b0, c, kind: str = TYPE_I) -> FourTuple:
     """(Q, N, b0, c) -> (Q - N, N, det(rho(Q)) rho(Q)^{-1} b0, c) with
     rho(Q) = int_0^1 e^{sQ} ds."""
-    rho = phi1(Q, 1.0)
-    b = float(np.linalg.det(rho)) * np.linalg.solve(rho, np.ravel(b0))
-    return FourTuple(np.asarray(Q) - np.asarray(N), N, b, c, kind)
+    return FourTuple(np.asarray(Q) - np.asarray(N), N, _psi_b(Q, b0), c, kind)
 
 
 def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
@@ -156,8 +169,7 @@ def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
     (A, N, b, c) -> (A/tau, N/(alpha tau), b/(alpha tau), c)."""
     if tau <= 0 or alpha == 0:
         raise DegenerateRescale("need tau > 0 and alpha != 0")
-    return FourTuple(t.A / tau, t.N / (alpha * tau), t.b / (alpha * tau),
-                     t.c, t.kind)
+    return FourTuple(*_rescaled(t.A, t.N, t.b, tau, alpha), t.c, t.kind)
 
 
 def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
@@ -166,11 +178,12 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     u = alpha on [0, tau), 0 after, although they are not i/o equivalent.
 
     The seed (Q, N, b0, c) must lie in class C. Only the G0 test and the
-    tests C adds to it run, not classify's M and B_alpha tests. The
-    construction follows the unit-pulse normalization: sigma = psi(seed);
-    the partner replaces N by the twin M taken at (Q, b0, c) from the T of
-    the G0 test (rho(Q) sigma.b = det(rho(Q)) b0, and the twin does not
-    change when b is scaled); both are then rescaled to (tau, alpha). One
+    tests C adds to it run, not classify's M and B_alpha tests. Each
+    member is built once, by psi's rule and rescale's rule in one step:
+    sigma = rescale(psi(seed), tau, alpha), and the partner is the same
+    with N replaced by the twin M taken at (Q, b0, c) from the T of the G0
+    test (rho(Q) psi(seed).b = det(rho(Q)) b0, and the twin does not
+    change when b is scaled), so both share psi's drive b. One
     power table of the difference system at delta = tau/100 gives both
     certificates (_pulse_certificates): the agreement residual, the
     relative moment gap of the level alpha from the start state and of the
@@ -182,21 +195,14 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     T = _g0_T(seed, tol, {})
     if T is None or not _c_tests(seed, tol, {}):
         raise NotInC("seed must lie in class C")
-    Q, N, b0, c = seed.A, seed.N, seed.b, seed.c
-
-    sigma = psi(Q, N, b0, c, TYPE_I)
-    M = _twin(T, N)
-    sigma_hat = FourTuple(Q - M, M, sigma.b, c, TYPE_I)
-
-    sigma = rescale(sigma, tau, alpha)
-    sigma_hat = rescale(sigma_hat, tau, alpha)
+    Q, N, c = seed.A, seed.N, seed.c
+    b, M = _psi_b(Q, seed.b), _twin(T, N)
+    sigma = FourTuple(*_rescaled(Q - N, N, b, tau, alpha), c, TYPE_I)
+    sigma_hat = FourTuple(*_rescaled(Q - M, M, b, tau, alpha), c, TYPE_I)
 
     residual, u, gap = _pulse_certificates(sigma, sigma_hat, tau, alpha, [0.0])
-    _, word = io_equivalent(sigma, sigma_hat, tol)
-    return CounterexamplePair(sigma, sigma_hat,
-                              InputClass("single-pulse", tau, alpha),
-                              residual, word,
-                              u if gap > tol.agree_tol else None)
+    return _pair(sigma, sigma_hat, InputClass("single-pulse", tau, alpha),
+                 residual, u if gap > tol.agree_tol else None, tol)
 
 
 def _witness_widths(tau):
@@ -298,12 +304,9 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
 
     residual, u, gap = _pulse_certificates(
         sigma, sigma_hat, tau, alpha, BETA_TEST_SET * max(1.0, abs(alpha)))
-    _, word = io_equivalent(sigma, sigma_hat, tol)
     label = "constants" if tau == 0 else "pulse-family"
-    return CounterexamplePair(sigma, sigma_hat,
-                              InputClass(label, tau or None, alpha),
-                              residual, word,
-                              u if gap > tol.agree_tol else None)
+    return _pair(sigma, sigma_hat, InputClass(label, tau or None, alpha),
+                 residual, u if gap > tol.agree_tol else None, tol)
 
 
 # -- fixed-rate sampling -------------------------------------------------------
@@ -366,7 +369,7 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     M = t.N + (l / alpha) * L
     sigma_hat = FourTuple(t.A, M, (t.A + alpha * M) @ np.linalg.solve(G, t.b),
                           t.c, TYPE_I)
-    sigma = t.with_kind(TYPE_I)
+    sigma = t if t.kind == TYPE_I else t.with_kind(TYPE_I)
 
     diff = _difference(sigma, sigma_hat)
     residual = _sampled_agreement(diff, tau, alpha)
@@ -377,15 +380,8 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
             f"constant input failed to separate the pair (max gap {disc:.3e})"
         )
 
-    _, word = io_equivalent(sigma, sigma_hat, tol)
-    return CounterexamplePair(
-        sigma=sigma,
-        sigma_hat=sigma_hat,
-        input_class=InputClass("sampled", tau, alpha),
-        agreement_residual=residual,
-        distinguishing_word=word,
-        distinguishing_input=constant_input(alpha, 4.0),
-    )
+    return _pair(sigma, sigma_hat, InputClass("sampled", tau, alpha),
+                 residual, constant_input(alpha, 4.0), tol)
 
 
 # -- seed sampling ---------------------------------------------------------------

@@ -45,7 +45,7 @@ from .core import TYPE_I, FourTuple
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
 from .matfun import DEFAULT_TOL, Tolerances, _logm_flows, expm, rank_of
-from .realization import is_canonical, krylov
+from .realization import _linear_ranks, is_canonical, krylov
 from .simulate import _finite, _generators, _start
 
 
@@ -299,8 +299,7 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     N = (G - A) / oracle.alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
-    r_reach = rank_of(krylov(A, b), tol)
-    r_obs = rank_of(krylov(A.T, c).T, tol)
+    r_reach, r_obs = _linear_ranks(A, b, c, tol)
     r_alpha = rank_of(krylov(G, b), tol)
     if not (is_canonical(result, tol) and r_reach == n and r_obs == n
             and r_alpha == n):

@@ -44,8 +44,10 @@ class Tolerances:
     agree_tol: float = 1e-7
 
     def __post_init__(self):
-        if min(self.rank_tol, self.residual_tol, self.agree_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails too
+        if not all(0 < x < np.inf for x in
+                   (self.rank_tol, self.residual_tol, self.agree_tol)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()

@@ -176,6 +176,12 @@ def krylov(A, v):
     return np.column_stack(cols)
 
 
+def _linear_ranks(A, b, c, tol):
+    """The reachability and observability ranks of the linear triple
+    (A, b, c), each from one Krylov matrix."""
+    return rank_of(krylov(A, b), tol), rank_of(krylov(A.T, c).T, tol)
+
+
 def _canonical_gap(*ts: FourTuple, tol: Tolerances):
     """For each of the tuples ts, all of one n, the first of its extended
     reachability and observability spans (the word layers of (A, N, b) and

@@ -183,6 +183,17 @@ class TestChecks:
         assert code == 1
         assert "tol" in err
 
+    def test_nan_tolerance_is_usage_error(self, capsys, scalar_file,
+                                          tmp_path):
+        # c b is 2 and 1: a NaN residual_tol used to read them equivalent
+        p = tmp_path / "half.json"
+        p.write_text(to_json(FourTuple([[-1.0]], [[0.5]], [1.0], [1.0])))
+        code, out, err = _run(capsys, "check-equiv", "--a", scalar_file,
+                              "--b", str(p), "--tol", "residual_tol=nan")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
 
 class TestCounterexample:
     def test_single_pulse_runs_and_is_deterministic(self, capsys):

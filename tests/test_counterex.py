@@ -204,6 +204,42 @@ class TestConstructorsDecideOnce:
         pulse_family_pair(g0_seed, 1.0, 1.0)
         assert len(calls) <= 2
 
+    def test_tuples_built_per_pair(self, monkeypatch):
+        # each member is validated once: no rebuild by rescale or with_kind
+        c_seed = _c_seed(42)
+        g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
+                                  scale=0.4)
+        b_seed, _ = sample_in_B_alpha(1.0, np.random.default_rng(5))
+        assert b_seed.kind == TYPE_I
+        built = []
+        post_init = FourTuple.__post_init__
+
+        def spy(t):
+            built.append(1)
+            post_init(t)
+
+        monkeypatch.setattr(FourTuple, "__post_init__", spy)
+        for make, count in ((lambda: single_pulse_pair(c_seed, 2.0, 0.5), 2),
+                            (lambda: pulse_family_pair(g0_seed, 1.0, 1.0), 2),
+                            (lambda: sampled_pair(b_seed, 1.0, 1.0), 1)):
+            built.clear()
+            make()
+            assert len(built) == count
+
+    @pytest.mark.parametrize("tau,alpha", [(1.0, 1.0), (2.0, 0.5), (0.3, -1.0)])
+    def test_single_pulse_members_compose_psi_and_rescale(self, tau, alpha):
+        seed = _c_seed(42)
+        Q, N, b0, c = seed.A, seed.N, seed.b, seed.c
+        sigma = psi(Q, N, b0, c)
+        M = twin_via_T(seed).N
+        expected = (rescale(sigma, tau, alpha),
+                    rescale(FourTuple(Q - M, M, sigma.b, c), tau, alpha))
+        pair = single_pulse_pair(seed, tau, alpha)
+        for got, want in zip((pair.sigma, pair.sigma_hat), expected):
+            assert got.kind == want.kind == TYPE_I
+            for name in "ANbc":
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
 
 def _near_B(ratio, tol):
     """A tuple whose N = N0 + eps E has twin obstruction ratio times

@@ -253,3 +253,10 @@ class TestTolerances:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             Tolerances(rank_tol=-1.0, residual_tol=1e-8, agree_tol=1e-7)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["rank_tol", "residual_tol", "agree_tol"])
+    def test_positive_finite_required(self, name, value):
+        # NaN compares false both ways, so a bare "<= 0" check lets it in
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**{name: value})
