@@ -244,6 +244,13 @@ def _dec_scalar(x, where: str) -> float:
         raise ParseError(f"{where}: cannot parse {x!r} as a number") from None
 
 
+def _dec_finite(x, where: str) -> float:
+    x = _dec_scalar(x, where)
+    if not np.isfinite(x):
+        raise ParseError(f"{where}: expected a finite number, got {x!r}")
+    return x
+
+
 def _dec_vec(v, where: str, length: Optional[int] = None) -> np.ndarray:
     """A list of numbers, of the given length unless that is None."""
     if not isinstance(v, list) or length not in (None, len(v)):
@@ -387,11 +394,12 @@ def pair_from_json(text: str) -> CounterexamplePair:
         sigma_hat=tuple_from_dict(doc["sigma_hat"]),
         input_class=InputClass(
             kind=cls["kind"],
-            tau=None if cls.get("tau") is None else _dec_scalar(cls["tau"], "tau"),
+            tau=None if cls.get("tau") is None else _dec_finite(cls["tau"], "tau"),
             alpha=None if cls.get("alpha") is None
-            else _dec_scalar(cls["alpha"], "alpha"),
+            else _dec_finite(cls["alpha"], "alpha"),
         ),
-        agreement_residual=_dec_scalar(doc["agreement_residual"], "agreement_residual"),
+        agreement_residual=_dec_finite(doc["agreement_residual"],
+                                       "agreement_residual"),
         distinguishing_word=doc.get("distinguishing_word"),
         distinguishing_input=None if u is None else input_from_dict(u),
     )

@@ -167,7 +167,7 @@ def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
     """Carry a pair that agrees under the unit pulse (width 1, amplitude 1)
     to one that agrees under the width-tau amplitude-alpha pulse:
     (A, N, b, c) -> (A/tau, N/(alpha tau), b/(alpha tau), c)."""
-    if tau <= 0 or alpha == 0:
+    if not tau > 0 or alpha == 0:    # NaN fails too
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     return FourTuple(*_rescaled(t.A, t.N, t.b, tau, alpha), t.c, t.kind)
 
@@ -190,7 +190,7 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     level 0 from the pulse-end state, and the distinguishing input, the
     single pulse of another width of distinguishing_search (None when no
     width separates)."""
-    if tau <= 0 or alpha == 0:
+    if not tau > 0 or alpha == 0:    # NaN fails too
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     T = _g0_T(seed, tol, {})
     if T is None or not _c_tests(seed, tol, {}):
@@ -289,7 +289,7 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
     kind-II one, so agreement transfers)."""
-    if tau < 0:
+    if not tau >= 0:    # NaN fails too
         raise DegenerateRescale("need tau >= 0")
     if kind == TYPE_I and tau != 0:
         raise ValueError("kind-I pairs exist only for tau = 0 (constants)")
@@ -342,7 +342,7 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     matches the drive with bhat = (A + alpha M) G^{-1} b."""
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
-    if tau <= 0 or alpha == 0:
+    if not tau > 0 or alpha == 0:    # NaN fails too
         raise DegenerateRescale("need tau > 0 and alpha != 0")
     if not in_b_alpha(t, alpha, tol):
         raise NotInBalpha("system must lie in B_alpha")

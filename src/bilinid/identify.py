@@ -13,12 +13,18 @@ same shape. One SVD of the m x m block H0 = U diag(s) V' fixes the order n
 part U_n diag(r) and a state part diag(r) V_n', r = sqrt(s_1..s_n)
 (Ho-Kalman). The block one row down gives F, the block one column right
 gives E, each as (U_n' H1 V_n) / (r r'): ERA with a second shift direction
-(Juang and Pappa 1985; Juang 2005). c is the first row of the observability
+(Juang and Pappa 1985; Juang 2005); both shifts come from one product
+over the stacked shifted blocks. c is the first row of the observability
 part, and the first state is b (kind II) or x(delta) (kind I). The
 principal logarithm of F over h gives A, that of E over delta gives G; for
 kind I the augmented [[E, x(delta)], [0, 1]] is Van Loan's block
 expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b.
-Then N = (G - A)/alpha.
+Both logarithms, and both flows over tau0, come from one stacked pass
+(matfun._logm_flows); for kind I F is padded to blockdiag(F, 1) to match
+the Van Loan block, and log 1 = 0 leaves A in the top-left block. Then
+N = (G - A)/alpha, and the three final ranks (reachability of (A, b),
+observability of (A, c), reachability of (G, b)) come from one batched
+SVD.
 
 A row shift that leaves the span of H0 means pulse-end states short of the
 order (NotCanonicalResult); a column shift that leaves it means widths that
@@ -29,6 +35,8 @@ holds the width tau0 and the offset tau0, off both grids (tau0 is random):
 h = delta is halved while the tau0 column leaves the span of H0 or either
 flow misses the tau0 samples (Aliased), or a logarithm meets the cut. Each
 miss is judged relative to the largest sample, whatever the output scale.
+The checks raise in order: F's logarithm, the coast's miss, E's logarithm,
+the width flow's miss.
 
 An oracle that only answers scalars is read one sample at a time
 (_records), with the same answers. realize_free_response (the coast at one
@@ -44,8 +52,9 @@ import numpy as np
 from .core import TYPE_I, FourTuple
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
-from .matfun import DEFAULT_TOL, Tolerances, _logm_flows, expm, rank_of
-from .realization import _linear_ranks, is_canonical, krylov
+from .matfun import (DEFAULT_TOL, Tolerances, _logm_flows, _logm_one, expm,
+                     rank_of)
+from .realization import _ranks, is_canonical, krylov
 from .simulate import _finite, _generators, _start
 
 
@@ -174,7 +183,7 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     root = np.sqrt(s[:n])
     Un, Vn = U[:, :n], Vh[:n, :].T
     F_d = (Un.T @ H1 @ Vn) / np.outer(root, root)
-    L, (flow,) = _logm_flows(F_d, [tau0 / h])
+    L, (flow,) = _logm_one(F_d, [tau0 / h])
     A = L / h
     x0, c = root * Vn[0], Un[0] * root
     miss = abs(c @ flow @ x0 - y_off)
@@ -212,12 +221,14 @@ def _halving(step: float, halvings: int, attempt):
     return attempt(step)
 
 
-def _shift(H1, Un, Vn, root):
-    """The Ho-Kalman shift (Un' H1 Vn) / (r r') and how far H1 lies off the
-    column and row spaces of H0, relative to H1."""
-    P = Un.T @ H1 @ Vn
-    res = np.linalg.norm(H1 - Un @ P @ Vn.T) / np.linalg.norm(H1)
-    return P / np.outer(root, root), float(res)
+def _shifts(H, Un, Vn, root):
+    """The Ho-Kalman shifts (Un' H[i] Vn) / (r r') of the stack H of
+    shifted blocks, from one product, and how far each H[i] lies off the
+    column and row spaces of H0, relative to H[i]."""
+    P = Un.T @ H @ Vn
+    res = (np.linalg.norm(H - Un @ P @ Vn.T, axis=(1, 2))
+           / np.linalg.norm(H, axis=(1, 2)))
+    return P / np.outer(root, root), res.tolist()
 
 
 def _joint(oracle, m, step, tau0, tol):
@@ -251,32 +262,40 @@ def _joint(oracle, m, step, tau0, tol):
             f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}"
         )
     root, Vn = np.sqrt(s[:n]), Vh[:n, :].T
-    F_d, state_res = _shift(Z[1:m + 1, :m], Un, Vn, root)
+    # F_d and E_d from the row (coast) and column (width) shifts
+    P, (state_res, fit) = _shifts(np.array([Z[1:m + 1, :m], Z[:m, 1:m + 1]]),
+                                  Un, Vn, root)
     if not state_res <= 1e-5:
         raise NotCanonicalResult(
             f"the coast shift leaves the span of the pulse-end states by "
             f"{state_res:.3e}")
-    E_d, fit = _shift(Z[:m, 1:m + 1], Un, Vn, root)
     if not fit <= 1e-5:
         raise PoorFit(f"width-shift residual {fit:.3e}")
     # the observability and state parts; c and the first state lead them
     Gam, X = Un * root, root[:, None] * Vn.T
     c, x0 = Gam[0], X[:, 0]
-    L, (flow,) = _logm_flows(F_d, [tau0 / step])
-    A = L / step
-    miss = float(np.linalg.norm(c @ flow @ X - Z[-1, :m])) / scale
+    # kind I: E_d in Van Loan's block [[E_d, x0], [0, 1]] and F_d padded to
+    # blockdiag(F_d, 1) beside it (log 1 = 0), so one stack takes both
+    D = np.zeros((2, n + kind_i, n + kind_i))
+    D[:, :n, :n] = P
+    if kind_i:
+        D[:, n, n], D[1, :n, n] = 1.0, x0
+    L, flows, (f_fault, e_fault) = _logm_flows(D, [tau0 / step])
+    if f_fault is not None:
+        raise f_fault
+    L, flows = L[:, :n] / step, flows[:, 0, :n]
+    A = L[0, :, :n]
+    miss = float(np.linalg.norm(c @ flows[0, :, :n] @ X - Z[-1, :m])) / scale
     if miss > 1e-5:
         raise Aliased(f"the coast misses the samples tau0 after the pulse "
                       f"ends by {miss:.3e}")
-    if kind_i:
-        E_d = np.block([[E_d, x0[:, None]], [np.zeros(n), 1.0]])
-    L, (flow,) = _logm_flows(E_d, [tau0 / step])
-    L = L / step
-    x_tau0 = flow[:n, n] if kind_i else flow @ x0
+    if e_fault is not None:
+        raise e_fault
+    x_tau0 = flows[1, :, n] if kind_i else flows[1] @ x0
     miss = float(np.linalg.norm(Gam @ x_tau0 - y_tau0)) / scale
     if miss > 1e-5:
         raise Aliased(f"the width flow misses the state at tau0 by {miss:.3e}")
-    G, b = (L[:n, :n], L[:n, n] / oracle.alpha) if kind_i else (L, x0)
+    G, b = (L[1, :, :n], L[1, :, n] / oracle.alpha) if kind_i else (L[1], x0)
     return (A, G, b, c), dict(
         hankel_singular_values=s.tolist(), fit_residual=fit,
         max_state_residual=state_res, tau0=tau0, h=step, delta=step)
@@ -299,8 +318,8 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     N = (G - A) / oracle.alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
-    r_reach, r_obs = _linear_ranks(A, b, c, tol)
-    r_alpha = rank_of(krylov(G, b), tol)
+    r_reach, r_obs, r_alpha = _ranks(
+        [krylov(A, b), krylov(A.T, c).T, krylov(G, b)], tol)
     if not (is_canonical(result, tol) and r_reach == n and r_obs == n
             and r_alpha == n):
         raise NotCanonicalResult(

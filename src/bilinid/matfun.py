@@ -25,6 +25,14 @@ falls back to scipy's inverse scaling-and-squaring logm (Al-Mohy and
 Higham, 2012), which is slower but needs no eigenvector basis. That rare
 fallback is the only place scipy is imported, so importing this package
 does not load it.
+
+The work is done on a stack by _logm_flows, in one pass: one eig, one
+batched cond and one inv over the members that pass it, and one expm over
+every member's L and flows e^{tL}, which also gives the round-trip check
+expm(L) = M. Each member's fault (cut, fallback not real, overflow,
+round trip) is returned, not raised, so a caller that needs two
+logarithms raises them in the order of its own checks; principal_logm is
+the one-member stack that raises its fault.
 """
 
 from dataclasses import dataclass
@@ -196,33 +204,62 @@ def principal_logm(M):
 
     L = V diag(log lam) V^{-1} from the eigendecomposition of M, or
     scipy.linalg.logm(M) when cond(V) > _EIG_COND_MAX."""
-    return _logm_flows(M, ())[0]
+    return _logm_one(M, ())[0]
+
+
+def _logm_one(M, times):
+    """_logm_flows of the one matrix M: its L and flows, or its fault
+    raised."""
+    L, E, (fault,) = _logm_flows(np.asarray(M, dtype=float)[None], times)
+    if fault is not None:
+        raise fault
+    return L[0], E[0]
 
 
 def _logm_flows(M, times):
-    """principal_logm(M) = L, and the flows e^{t L} for each t of times,
-    taken from the same stacked expm as the round-trip check expm(L) = M."""
-    M = np.asarray(M, dtype=float)
+    """For each matrix of the stack M (k, m, m): its principal logarithm L,
+    and the flows e^{t L} for each t of times, taken from one stacked expm
+    with the round-trip check expm(L) = M. Returns L (k, m, m), the flows
+    (k, len(times), m, m) and for each member the error principal_logm
+    would raise for it, or None (a faulty member's L and flows are
+    placeholders). A stack that eig or expm cannot take whole is taken one
+    member at a time, so one member's fault never blocks another."""
     try:
         lam, V = np.linalg.eig(M)
     except np.linalg.LinAlgError as e:
-        raise NoConvergence(str(e)) from None
-    scale = max(1.0, float(np.max(np.abs(lam))))
+        return _member_by_member(M, times, NoConvergence(str(e)))
+    scale = np.maximum(1.0, np.abs(lam).max(axis=1))[:, None]
     on_cut = (np.abs(lam.imag) <= 1e-12 * scale) & (lam.real <= 1e-12 * scale)
-    if np.any(on_cut):
-        raise SpectrumOnCut(
-            f"eigenvalue {lam[np.argmax(on_cut)]} lies on the closed negative real axis"
-        )
-    if np.linalg.cond(V) <= _EIG_COND_MAX:
-        L = (V * np.log(lam)) @ np.linalg.inv(V)
-    else:
+    cut = on_cut.any(axis=1)
+    fast = ~cut & (np.linalg.cond(V) <= _EIG_COND_MAX)
+    L = np.zeros(M.shape, dtype=complex)
+    L[fast] = (V[fast] * np.log(lam[fast])[:, None]) @ np.linalg.inv(V[fast])
+    for i in np.flatnonzero(~cut & ~fast):
         import scipy.linalg  # only here: keeps scipy off the import path
-        L = scipy.linalg.logm(M)
-    if np.max(np.abs(L.imag)) > 1e-8 * max(1.0, np.max(np.abs(L.real))):
-        raise NoConvergence("principal logarithm is not real")
-    L = L.real
-    E = expm(np.append(1.0, times)[:, None, None] * L)
-    resid = np.linalg.norm(E[0] - M) / max(1.0, np.linalg.norm(M))
-    if not resid < 1e-8:
-        raise NoConvergence(f"logm round-trip residual {resid:.3e}")
-    return L, E[1:]
+        L[i] = scipy.linalg.logm(M[i])
+    imag = (np.abs(L.imag).max(axis=(1, 2))
+            > 1e-8 * np.maximum(1.0, np.abs(L.real).max(axis=(1, 2))))
+    faults = [SpectrumOnCut(f"eigenvalue {lam[i, np.argmax(on_cut[i])]} "
+                            f"lies on the closed negative real axis")
+              if cut[i] else NoConvergence("principal logarithm is not real")
+              if imag[i] else None for i in range(len(M))]
+    L = np.where((cut | imag)[:, None, None], 0.0, L.real)
+    try:
+        E = expm(np.append(1.0, times)[:, None, None] * L[:, None])
+    except Overflow as e:
+        return _member_by_member(M, times, e)
+    resid = (np.linalg.norm(E[:, 0] - M, axis=(1, 2))
+             / np.maximum(1.0, np.linalg.norm(M, axis=(1, 2))))
+    for i in np.flatnonzero(~(resid < 1e-8)):
+        faults[i] = faults[i] or NoConvergence(
+            f"logm round-trip residual {resid[i]:.3e}")
+    return L, E[:, 1:], faults
+
+
+def _member_by_member(M, times, fault):
+    """_logm_flows of each matrix of the stack M on its own; fault is the
+    one member's fault when the stack has one."""
+    if len(M) == 1:
+        return np.zeros(M.shape), np.zeros((1, len(times), *M.shape[1:])), [fault]
+    L, E, faults = zip(*(_logm_flows(member[None], times) for member in M))
+    return np.concatenate(L), np.concatenate(E), sum(faults, [])

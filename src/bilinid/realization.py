@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import FourTuple, SimilarityWitness
 from .errors import NotCanonical, NotCanonicalTriple, NotSimilar
-from .matfun import DEFAULT_TOL, Tolerances, pinv_rank, rank_of
+from .matfun import DEFAULT_TOL, Tolerances, pinv_rank
 
 # rounding allowance per matrix product and state
 _ROUND = 8 * np.finfo(float).eps
@@ -176,10 +176,17 @@ def krylov(A, v):
     return np.column_stack(cols)
 
 
+def _ranks(Ms, tol):
+    """rank_of of each of the square matrices Ms, all of one size, from one
+    batched SVD, each cut as rank_of cuts it."""
+    s = np.linalg.svd(Ms, compute_uv=False)
+    return tuple(np.count_nonzero(s > tol.rank_tol * s[:, :1], axis=1).tolist())
+
+
 def _linear_ranks(A, b, c, tol):
     """The reachability and observability ranks of the linear triple
     (A, b, c), each from one Krylov matrix."""
-    return rank_of(krylov(A, b), tol), rank_of(krylov(A.T, c).T, tol)
+    return _ranks([krylov(A, b), krylov(A.T, c).T], tol)
 
 
 def _canonical_gap(*ts: FourTuple, tol: Tolerances):
@@ -321,7 +328,7 @@ def _self_dual(A, b, c, tol):
     both ranks are full."""
     A = np.asarray(A, dtype=float)
     R, O = krylov(A, b), krylov(A.T, c).T
-    ranks = rank_of(R, tol), rank_of(O, tol)
+    ranks = _ranks([R, O], tol)
     if min(ranks) < len(R):
         return (None, *ranks)
     # T O' = R, i.e. O T' = R', and T is symmetric anyway

@@ -220,6 +220,15 @@ class TestCounterexample:
         doc = json.loads(out)
         assert float(doc["agreement_residual"]) < 1e-9
 
+    @pytest.mark.parametrize("cls", ["single-pulse", "pulse-family",
+                                     "sampled"])
+    def test_nan_period_is_degenerate_rescale(self, capsys, cls):
+        code, out, err = _run(capsys, "counterexample", "--class", cls,
+                              "--tau", "nan", "--rng-seed", "5")
+        assert code == 2
+        assert json.loads(out)["error"] == "DegenerateRescale"
+        assert err == ""
+
     def test_bad_seed_is_domain_error(self, capsys, shift_file):
         # the shift pair is not in class C, so seeding fails downstream
         code, out, _ = _run(capsys, "counterexample", "--class",

@@ -6,9 +6,11 @@ import pytest
 
 from bilinid import (FourTuple, PiecewiseConstantInput, Trajectory,
                      constant_input, from_json, input_from_dict,
-                     input_to_dict, pair_from_json, pair_to_json, pulse_input,
-                     to_json, trajectory_from_json, trajectory_to_json,
-                     tuple_from_dict, validate)
+                     input_to_dict, pair_from_json, pair_to_json,
+                     pulse_family_pair, pulse_input, sample_in_B_alpha,
+                     sample_in_C, sample_in_G0, sampled_pair,
+                     single_pulse_pair, to_json, trajectory_from_json,
+                     trajectory_to_json, tuple_from_dict, validate)
 from bilinid.core import CounterexamplePair, InputClass
 from bilinid.errors import NonFiniteEntry, ParseError, ShapeMismatch
 
@@ -214,6 +216,35 @@ class TestJson:
             where[key] = value
         with pytest.raises(ParseError):
             pair_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("part, key", [
+        (None, "agreement_residual"), ("input_class", "tau"),
+        ("input_class", "alpha")])
+    def test_pair_numbers_must_be_finite(self, part, key, value):
+        doc = json.loads(pair_to_json(CounterexamplePair(
+            sigma=_t(), sigma_hat=_t(),
+            input_class=InputClass("pulse-family", 1.0, 0.5),
+            agreement_residual=1e-12, distinguishing_word="A")))
+        (doc if part is None else doc[part])[key] = value
+        with pytest.raises(ParseError, match=key):
+            pair_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["single-pulse", "pulse-family",
+                                      "constants", "sampled"])
+    def test_constructed_pairs_round_trip(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "single-pulse":
+            pair = single_pulse_pair(sample_in_C(2, rng)[0], 1.0, 1.0)
+        elif kind == "sampled":
+            pair = sampled_pair(sample_in_B_alpha(1.0, rng)[0], 1.0, 1.0)
+        else:
+            pair = pulse_family_pair(sample_in_G0(2, rng, kind="II")[0],
+                                     1.0 if kind == "pulse-family" else 0.0,
+                                     1.0)
+        assert pair.input_class.kind == kind
+        s = pair_to_json(pair)
+        assert pair_to_json(pair_from_json(s)) == s
 
     def test_pair_requires_a_certificate(self):
         with pytest.raises(ValueError):

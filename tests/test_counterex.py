@@ -355,6 +355,11 @@ class TestNormalizationMaps:
         with pytest.raises(DegenerateRescale):
             rescale(t, 1.0, 0.0)
 
+    def test_nan_period_is_degenerate(self):
+        # NaN compares false both ways, so a bare "tau <= 0" lets it in
+        with pytest.raises(DegenerateRescale):
+            rescale(FourTuple(A2, E11, B2, C2), np.nan, 1.0)
+
     def test_rescale_is_exact_on_pulse_responses(self):
         # responses of the rescaled system under the (tau, alpha) pulse
         # reproduce the original responses under the unit pulse
@@ -400,8 +405,17 @@ class TestSinglePulsePair:
         with pytest.raises(DegenerateRescale):
             single_pulse_pair(_c_seed(42), 0.0, 1.0)
 
+    def test_nan_period_is_degenerate(self):
+        with pytest.raises(DegenerateRescale):
+            single_pulse_pair(_c_seed(42), np.nan, 1.0)
+
 
 class TestPulseFamilyPair:
+    def test_nan_period_is_degenerate(self):
+        seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II)
+        with pytest.raises(DegenerateRescale):
+            pulse_family_pair(seed, np.nan, 1.0)
+
     def test_agreement_across_trailing_levels(self):
         seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
                                scale=0.4)
@@ -748,6 +762,10 @@ class TestSampledPair:
             sampled_pair(ROTOR, -1.0, 1.0)
         with pytest.raises(DegenerateRescale):
             sampled_pair(ROTOR, 1.0, 0.0)
+
+    def test_nan_period_is_degenerate(self):
+        with pytest.raises(DegenerateRescale):
+            sampled_pair(ROTOR, np.nan, 1.0)
 
 
 class TestMomentAgreement:

@@ -1,3 +1,6 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +9,13 @@ from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
                      Tolerances, identify, io_equivalent, is_canonical,
                      oracle_from_tuple, realize_free_response, recover_states,
                      respond_pulse, sample_in_M, similarity_between)
-from bilinid.errors import (BilinError, NotCanonicalResult, OrderAmbiguous,
-                            Overflow, PoorFit, UnobservablePair)
+from bilinid import matfun
+from bilinid.errors import (Aliased, BilinError, NoConvergence,
+                            NotCanonicalResult, OrderAmbiguous, Overflow,
+                            PoorFit, UnobservablePair)
+
+# the module; the package's name "identify" is the function
+IDENTIFY = importlib.import_module("bilinid.identify")
 
 LOOSE = Tolerances(rank_tol=1e-10, residual_tol=1e-5, agree_tol=1e-7)
 SCALAR = FourTuple([[-1.0]], [[0.5]], [1.0], [2.0])
@@ -363,3 +371,68 @@ class TestIdentify:
                 identify(oracle, IdentifyConfig(n_max=4),
                          rng=np.random.default_rng(0))
             assert len(calls) <= 66
+
+
+class TestStackedAttempt:
+    """Each attempt takes both principal logarithms, of e^{Ah} and of
+    e^{G delta}, from one stacked pass, and raises what it finds in the
+    order of the checks: the coast's logarithm, the coast's miss, the width
+    flow's logarithm, the width flow's miss."""
+
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    @pytest.mark.parametrize("turns", [0.5, 1.0, 2.0])
+    def test_one_eig_and_one_expm_per_attempt(self, kind, turns):
+        # the oracle's expm is identify's binding, not matfun's: not counted
+        per_attempt = []
+        joint = IDENTIFY._joint
+
+        def attempt(*args):
+            before = eig.call_count, expm.call_count
+            try:
+                return joint(*args)
+            finally:
+                per_attempt.append((eig.call_count - before[0],
+                                    expm.call_count - before[1]))
+        with mock.patch.object(IDENTIFY, "_joint", attempt), \
+                mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+                mock.patch.object(matfun, "expm", wraps=matfun.expm) as expm:
+            _identify(_fast_rotation(turns, kind))
+        # an attempt may stop before the logarithms; the last one succeeds
+        assert set(per_attempt) <= {(0, 0), (1, 1)}
+        assert per_attempt[-1] == (1, 1)
+        if turns == 0.5:
+            assert len(per_attempt) == 1
+
+    @staticmethod
+    def _faulty(f_fault=None, e_fault=None, coast=1.0, width=1.0, calls=1):
+        """_logm_flows with the given faults and the flows scaled (a scale
+        other than 1 makes a miss) for its first `calls` calls."""
+        real, done = IDENTIFY._logm_flows, []
+
+        def fake(M, times):
+            L, E, faults = real(M, times)
+            if len(done) < calls:
+                done.append(1)
+                E = E * np.array([coast, width])[:, None, None, None]
+                faults = [f_fault or faults[0], e_fault or faults[1]]
+            return L, E, faults
+        return mock.patch.object(IDENTIFY, "_logm_flows", fake)
+
+    @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+    @pytest.mark.parametrize("f_fault, e_fault, coast, width, raised, match", [
+        (NoConvergence("F"), NoConvergence("E"), 2.0, 2.0, NoConvergence, "F"),
+        (None, NoConvergence("E"), 2.0, 2.0, Aliased, "coast"),
+        (None, NoConvergence("E"), 1.0, 2.0, NoConvergence, "E"),
+        (None, None, 1.0, 2.0, Aliased, "width flow"),
+    ], ids=["coast-logm", "coast-miss", "width-logm", "width-miss"])
+    def test_raise_order(self, kind, f_fault, e_fault, coast, width, raised,
+                         match):
+        oracle = oracle_from_tuple(SCALAR.with_kind(kind), 1.0)
+        with self._faulty(f_fault, e_fault, coast, width), \
+                pytest.raises(raised, match=match):
+            IDENTIFY._joint(oracle, 5, 0.2, 1.0, Tolerances())
+
+    def test_coast_miss_before_width_fault_halves_the_step(self):
+        with self._faulty(None, NoConvergence("E"), coast=2.0):
+            res = _identify(SCALAR)
+        assert res.diagnostics["h"] == pytest.approx(0.1)

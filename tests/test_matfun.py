@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bilinid import (DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1,
                      pinv_rank, principal_logm, rank_of)
-from bilinid.errors import Overflow, SpectrumOnCut
+from bilinid.errors import NoConvergence, Overflow, SpectrumOnCut
+from bilinid.matfun import _logm_flows
 
 from oracles import expm_series, phi1_quadrature
 
@@ -242,6 +243,65 @@ class TestPrincipalLogm:
             L = principal_logm(M)
         ref = scipy.linalg.logm(M)
         assert np.allclose(L, ref.real, atol=1e-10, rtol=1e-10)
+
+
+def _rel(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+class TestLogmStack:
+    """_logm_flows takes a stack in one pass and reports a fault per
+    member, so one member's fault never blocks another."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4))
+    def test_matches_principal_logm_member_by_member(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        M = expm(0.5 * rng.standard_normal((k, n, n)))
+        times = [0.5, 3.0]
+        L, E, faults = _logm_flows(M, times)
+        assert L.shape == (k, n, n) and E.shape == (k, 2, n, n)
+        assert faults == [None] * k
+        for Li, Ei, Mi in zip(L, E, M):
+            ref = principal_logm(Mi)
+            assert _rel(Li, ref) <= 1e-14
+            for t, flow in zip(times, Ei):
+                assert _rel(flow, expm(t * ref)) <= 1e-13
+
+    def test_mixed_stack_reports_each_member(self):
+        good = expm(np.array([[0.1, 0.7], [-0.7, 0.1]]))
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with mock.patch.object(scipy.linalg, "logm",
+                               wraps=scipy.linalg.logm) as spy:
+            L, E, faults = _logm_flows(np.array([good, -np.eye(2), jordan]),
+                                       [2.0])
+        assert spy.call_count == 1
+        assert faults[0] is None and faults[2] is None
+        assert isinstance(faults[1], SpectrumOnCut)
+        assert _rel(L[0], principal_logm(good)) <= 1e-14
+        assert np.array_equal(L[2], [[0.0, 1.0], [0.0, 0.0]])
+        assert _rel(E[2, 0], jordan @ jordan) <= 1e-14
+
+    def test_stack_that_eig_rejects_is_taken_member_by_member(self):
+        good = expm(np.array([[0.2, 0.3], [0.0, -0.4]]))
+        L, _, faults = _logm_flows(np.array([good, np.full((2, 2), np.nan)]),
+                                   ())
+        assert faults[0] is None and isinstance(faults[1], NoConvergence)
+        assert _rel(L[0], principal_logm(good)) <= 1e-14
+
+    def test_overflowing_flow_is_that_members_fault(self):
+        good = expm(np.array([[0.2, 0.3], [0.0, -0.4]]))
+        L, E, faults = _logm_flows(np.array([good, np.e * np.eye(2)]),
+                                   [1000.0])
+        assert faults[0] is None and isinstance(faults[1], Overflow)
+        assert np.isfinite(E[0]).all()
+
+    def test_one_member_raises_as_principal_logm(self):
+        with pytest.raises(SpectrumOnCut):
+            principal_logm(-np.eye(2))
+        with pytest.raises(NoConvergence):
+            principal_logm(np.full((2, 2), np.nan))
 
 
 class TestTolerances:

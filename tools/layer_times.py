@@ -1,7 +1,8 @@
 """Time the layers of the counterexample pairs on the pulse-pairs
-benchmark's items, the two simulators on the trains benchmark's items and
-the realization verdicts on the equivalence benchmark's items (seed 1), in
-one process on one BLAS thread.
+benchmark's items, the two simulators on the trains benchmark's items, the
+realization verdicts on the equivalence benchmark's items and identify on
+the identify benchmark's items (seed 1), in one process on one BLAS
+thread.
 
     python tools/layer_times.py [--tree TREE]
 
@@ -20,7 +21,10 @@ be timed on the same items. It prints:
   points returned per second of simulate);
 - µs per call by n of io_equivalent against the conjugate and against the
   twin, is_canonical and similarity_between, over the equivalence items,
-  as the equivalence workload calls them.
+  as the equivalence workload calls them;
+- µs per call by n and kind of identify over the identify items, as the
+  identify workload calls it, and the expm calls (the oracle's included)
+  and eig calls per identify.
 
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
@@ -74,6 +78,29 @@ def recorded_calls(counterex, run, items):
     return layers
 
 
+def calls_per_op(bindings, ops):
+    """Calls per op to the functions bound at the (module, name) pairs of
+    bindings, over one pass of the zero-argument callables ops."""
+    count = 0
+    saved = [(module, name, getattr(module, name)) for module, name in bindings]
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return fn(*args, **kwargs)
+        return call
+    for module, name, fn in saved:
+        setattr(module, name, counted(fn))
+    try:
+        for op in ops:
+            op()
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    return count / len(ops)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=HERE)
@@ -81,6 +108,7 @@ def main(argv=None):
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(HERE / "tests"),
                     str(HERE / "bench")]
     import bilinid as bl
+    import numpy as np
     import workloads
     from bilinid import counterex
 
@@ -137,6 +165,26 @@ def main(argv=None):
     for kind, label in labels.items():
         print(f"{label:26}" + "".join(
             f"{best_us(groups[kind][n], REPS // 3):9.1f}" for n in sizes))
+
+    work = workloads.Identify()
+    items = work.generate(workloads.rng_for(work.name, SEED))
+    groups = {}
+    for item in items:
+        groups.setdefault(item[0].kind, {}).setdefault(item[0].n, []).append(
+            lambda item=item: work.run(item))
+    sizes = sorted(groups["I"])
+    print(f"µs/call by n over the identify items "
+          f"({len(items) // len(groups) // len(sizes)} per kind and n)")
+    print(f"{'':26}" + "".join(f"{f'n={n}':>9}" for n in sizes))
+    for kind, by_n in groups.items():
+        print(f"{f'identify (kind {kind})':26}" + "".join(
+            f"{best_us(by_n[n], REPS // 10):9.1f}" for n in sizes))
+    ops = [lambda item=item: work.run(item) for item in items]
+    expm = calls_per_op([(sys.modules["bilinid.identify"], "expm"),
+                         (sys.modules["bilinid.matfun"], "expm")], ops)
+    eig = calls_per_op([(np.linalg, "eig")], ops)
+    print(f"{expm:9.2f} expm calls/op, oracle's included; {eig:.2f} eig "
+          f"calls/op  bilinid.identify ({len(ops)} per round)")
 
 
 if __name__ == "__main__":
