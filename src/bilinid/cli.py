@@ -19,9 +19,9 @@ from .acceptance import ALL_CRITERIA
 from .core import (INPUT_CLASS_KINDS, TYPE_II, _dumps, _loads, _tuple_dict,
                    from_json, input_from_dict, pair_to_json, seeded_rng,
                    trajectory_to_json)
-from .counterex import (classify, pulse_family_pair, sample_in_B_alpha,
-                        sample_in_C, sample_in_G0, sampled_pair,
-                        single_pulse_pair)
+from .counterex import (_check_pulse, classify, pulse_family_pair,
+                        sample_in_B_alpha, sample_in_C, sample_in_G0,
+                        sampled_pair, single_pulse_pair)
 from .errors import BilinError
 from .identify import IdentifyConfig, identify, oracle_from_tuple
 from .matfun import DEFAULT_TOL
@@ -207,6 +207,7 @@ def _cmd_counterexample(args):
             seed, _ = sample_in_G0(args.n, rng, tol, kind=TYPE_II)
         pair = pulse_family_pair(seed, tau, args.alpha, tol)
     else:
+        _check_pulse(args.tau, args.alpha)    # a NaN alpha breaks the sampler
         if seed is None:
             seed, _ = sample_in_B_alpha(args.alpha, rng, tol)
         pair = sampled_pair(seed, args.tau, args.alpha, l=args.l, tol=tol)

@@ -21,6 +21,7 @@ reproducible stream.
 """
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -168,7 +169,10 @@ class SimilarityWitness:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """The largest residual; NaN when any residual is NaN, which max
+        alone would skip unless it came first."""
+        r = self.residuals.values()
+        return math.nan if any(math.isnan(x) for x in r) else max(r)
 
 
 INPUT_CLASS_KINDS = ("single-pulse", "pulse-family", "constants", "sampled")

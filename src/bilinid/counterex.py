@@ -163,12 +163,19 @@ def psi(Q, N, b0, c, kind: str = TYPE_I) -> FourTuple:
     return FourTuple(np.asarray(Q) - np.asarray(N), N, _psi_b(Q, b0), c, kind)
 
 
+def _check_pulse(tau, alpha):
+    """Raise DegenerateRescale unless tau > 0 and alpha is finite and not
+    0: the guard of rescale, single_pulse_pair and sampled_pair, written so
+    that NaN fails it."""
+    if not (tau > 0 and 0 < abs(alpha) < math.inf):
+        raise DegenerateRescale("need tau > 0 and a finite alpha != 0")
+
+
 def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
     """Carry a pair that agrees under the unit pulse (width 1, amplitude 1)
     to one that agrees under the width-tau amplitude-alpha pulse:
     (A, N, b, c) -> (A/tau, N/(alpha tau), b/(alpha tau), c)."""
-    if not tau > 0 or alpha == 0:    # NaN fails too
-        raise DegenerateRescale("need tau > 0 and alpha != 0")
+    _check_pulse(tau, alpha)
     return FourTuple(*_rescaled(t.A, t.N, t.b, tau, alpha), t.c, t.kind)
 
 
@@ -190,8 +197,7 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     level 0 from the pulse-end state, and the distinguishing input, the
     single pulse of another width of distinguishing_search (None when no
     width separates)."""
-    if not tau > 0 or alpha == 0:    # NaN fails too
-        raise DegenerateRescale("need tau > 0 and alpha != 0")
+    _check_pulse(tau, alpha)
     T = _g0_T(seed, tol, {})
     if T is None or not _c_tests(seed, tol, {}):
         raise NotInC("seed must lie in class C")
@@ -289,8 +295,8 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
     kind-II one, so agreement transfers)."""
-    if not tau >= 0:    # NaN fails too
-        raise DegenerateRescale("need tau >= 0")
+    if not (tau >= 0 and abs(alpha) < math.inf):    # NaN fails too
+        raise DegenerateRescale("need tau >= 0 and a finite alpha")
     if kind == TYPE_I and tau != 0:
         raise ValueError("kind-I pairs exist only for tau = 0 (constants)")
     T = _g0_T(seed, tol, {})
@@ -342,8 +348,7 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     matches the drive with bhat = (A + alpha M) G^{-1} b."""
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
-    if not tau > 0 or alpha == 0:    # NaN fails too
-        raise DegenerateRescale("need tau > 0 and alpha != 0")
+    _check_pulse(tau, alpha)
     if not in_b_alpha(t, alpha, tol):
         raise NotInBalpha("system must lie in B_alpha")
 

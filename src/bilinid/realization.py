@@ -23,6 +23,12 @@ P_k by one factor per length: nothing overflows, and every test below is
 relative, one length at a time. Time scaling (A, N, b) -> s (A, N, b)
 leaves the layers unchanged.
 
+Every unit scaling takes its norm from math.hypot of the entries (_unit),
+which scales internally, so the norm is finite whenever the 2-norm is;
+so do the relative residuals of similarity_between. Only a word layer
+built from unit-scaled factors, whose entries are at most 1, takes the
+plain sum of squares (_norm).
+
 Canonicality and similarity need every layer up to length n-1 at once, not
 a verdict per length, so _span builds them unscaled: with [A', N'] and v
 at unit 2-norm (the 2-norm of the entries, as everywhere here),
@@ -84,19 +90,17 @@ def series_coefficient(t: FourTuple, word: str) -> float:
 
 def _unit(X, stack=False):
     """X scaled to unit 2-norm, and that norm; a zero X is returned as it
-    is. Dividing by the largest |entry| first keeps the norm finite. With
-    stack, each X[i] is scaled on its own in one pass and only the scaled
-    stack is returned; its sums of squares are the dot products _norm takes,
-    so each X[i] comes out bitwise as _unit(X[i])[0]."""
+    is. The norm is math.hypot of the entries, which scales internally, so
+    it is finite for any X whose 2-norm is, and within an ulp of exact.
+    With stack, each X[i] is scaled on its own and only the scaled stack is
+    returned; each comes out bitwise as _unit(X[i])[0], one division of
+    each entry by the same norm."""
+    rows = X.reshape(len(X) if stack else 1, -1)
+    s = [math.hypot(*x) for x in rows.tolist()]
     if stack:
-        Y = X.reshape(len(X), 1, -1)
-        m = np.abs(Y).max(axis=2, keepdims=True)
-        Y = Y / np.where(m, m, 1.0)
-        s = m * np.sqrt(Y @ Y.transpose(0, 2, 1))
-        return (X.reshape(Y.shape) / np.where(s, s, 1.0)).reshape(X.shape)
-    m = np.abs(X).max()
-    s = m * _norm(X / m) if m else 0.0
-    return (X / s if s else X), s
+        s = np.array([x or 1.0 for x in s])[:, None]
+        return (rows / s).reshape(X.shape)
+    return (X / s[0] if s[0] else X), s[0]
 
 
 def _norm(x):
@@ -306,8 +310,8 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     except np.linalg.LinAlgError:
         raise NotSimilar("recovered T is singular") from None
     def rel(x, y):    # on the scale of x itself, 0/0 read as 0
-        gap, size = np.linalg.norm(x - y), np.linalg.norm(x)
-        return float(gap / size) if size else (math.inf if gap else 0.0)
+        gap, size = _unit(x - y)[1], _unit(x)[1]
+        return gap / size if size else (math.inf if gap else 0.0)
     residuals = {
         "A": rel(t1.A, T @ t2.A @ Tinv),
         "N": rel(t1.N, T @ t2.N @ Tinv),
@@ -315,7 +319,7 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
         "c": rel(t1.c, t2.c @ Tinv),
     }
     witness = SimilarityWitness(T, residuals)
-    if witness.max_residual > tol.residual_tol:
+    if not witness.max_residual <= tol.residual_tol:    # NaN fails too
         raise NotSimilar(
             f"similarity residual {witness.max_residual:.3e}", residuals
         )

@@ -229,6 +229,17 @@ class TestCounterexample:
         assert json.loads(out)["error"] == "DegenerateRescale"
         assert err == ""
 
+    @pytest.mark.parametrize("cls", ["single-pulse", "pulse-family",
+                                     "sampled"])
+    def test_nan_amplitude_is_degenerate_rescale(self, capsys, cls):
+        # the sampled class draws its seed at alpha, which NaN breaks, so
+        # the amplitude is checked before the draw
+        code, out, err = _run(capsys, "counterexample", "--class", cls,
+                              "--alpha", "nan", "--rng-seed", "5")
+        assert code == 2
+        assert json.loads(out)["error"] == "DegenerateRescale"
+        assert err == ""
+
     def test_bad_seed_is_domain_error(self, capsys, shift_file):
         # the shift pair is not in class C, so seeding fails downstream
         code, out, _ = _run(capsys, "counterexample", "--class",

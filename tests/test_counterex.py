@@ -360,6 +360,12 @@ class TestNormalizationMaps:
         with pytest.raises(DegenerateRescale):
             rescale(FourTuple(A2, E11, B2, C2), np.nan, 1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_nan_amplitude_is_degenerate(self, alpha):
+        # a bare "alpha == 0" lets NaN and inf in
+        with pytest.raises(DegenerateRescale):
+            rescale(FourTuple(A2, E11, B2, C2), 1.0, alpha)
+
     def test_rescale_is_exact_on_pulse_responses(self):
         # responses of the rescaled system under the (tau, alpha) pulse
         # reproduce the original responses under the unit pulse
@@ -409,12 +415,24 @@ class TestSinglePulsePair:
         with pytest.raises(DegenerateRescale):
             single_pulse_pair(_c_seed(42), np.nan, 1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_nan_amplitude_is_degenerate(self, alpha):
+        with pytest.raises(DegenerateRescale):
+            single_pulse_pair(_c_seed(42), 1.0, alpha)
+
 
 class TestPulseFamilyPair:
     def test_nan_period_is_degenerate(self):
         seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II)
         with pytest.raises(DegenerateRescale):
             pulse_family_pair(seed, np.nan, 1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_nan_amplitude_is_degenerate(self, alpha):
+        seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II)
+        for tau in (1.0, 0.0):
+            with pytest.raises(DegenerateRescale):
+                pulse_family_pair(seed, tau, alpha)
 
     def test_agreement_across_trailing_levels(self):
         seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
@@ -766,6 +784,11 @@ class TestSampledPair:
     def test_nan_period_is_degenerate(self):
         with pytest.raises(DegenerateRescale):
             sampled_pair(ROTOR, np.nan, 1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_nan_amplitude_is_degenerate(self, alpha):
+        with pytest.raises(DegenerateRescale):
+            sampled_pair(ROTOR, 1.0, alpha)
 
 
 class TestMomentAgreement:

@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from bilinid import (DEFAULT_TOL, TYPE_II, FourTuple, Tolerances, conjugate,
                      sample_in_B_alpha, sample_in_C, sample_in_G0,
                      sampled_pair, self_dual_T, series_coefficient,
                      similarity_between, single_pulse_pair, twin_via_T)
+from bilinid.core import SimilarityWitness
 from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
 from bilinid.matfun import rank_of
 from bilinid.realization import (_balanced, _canonical_gap, _difference,
@@ -19,6 +23,14 @@ B2 = np.array([0.0, 1.0])
 C2 = np.array([1.0, 0.0])
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _decimal_norm(x):
+    """The 2-norm of x rounded once to float, from its squares summed at
+    50 digits."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        return float(sum(decimal.Decimal(v) ** 2 for v in x.ravel().tolist())
+                     .sqrt())
 
 
 def _shift_pair(N):
@@ -466,14 +478,20 @@ class TestEarlyStop:
 
     def test_stacked_unit_matches_one_call_per_item(self):
         # each item bitwise as its own _unit call, zero items as they are,
-        # entries from 1e-300 to 1e300
+        # entries from subnormal to 1e307; each norm within an ulp of the
+        # 2-norm taken at 50 digits
         rng = np.random.default_rng(0)
         for shape in [(9, 4), (9, 7), (8, 4, 4), (8, 7, 7)]:
-            X = rng.standard_normal(shape) * 10.0 ** rng.uniform(
-                -300, 300, size=(shape[0],) + (1,) * (len(shape) - 1))
+            scale = 10.0 ** rng.uniform(-300, 300, size=shape[0])
+            scale[1], scale[2], scale[4] = 1e307, 1e-320, 1e-310
+            X = rng.standard_normal(shape) * scale.reshape(
+                (-1,) + (1,) * (len(shape) - 1))
             X[::3] = 0.0
             assert np.array_equal(_unit(X, stack=True),
                                   np.array([_unit(x)[0] for x in X]))
+            for x in X:
+                exact = _decimal_norm(x)
+                assert abs(_unit(x)[1] - exact) <= math.ulp(exact)
 
 
 class TestConjugation:
@@ -538,6 +556,28 @@ class TestSimilarity:
             similarity_between(t, raised, loose)
         w = similarity_between(t, conjugate(t, T0), loose)
         assert np.allclose(w.T, T0) and w.max_residual < 1e-8
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_large_output_scale_hides_no_difference(self, scale):
+        # c against 1.01 c: a plain sum of squares overflows both norms of
+        # the c residual to inf, and inf / inf is a NaN that must not pass
+        rng = np.random.default_rng(3)
+        A, N = rng.standard_normal((2, 3, 3))
+        b, c = rng.standard_normal((2, 3))
+        t = FourTuple(A, N, b, scale * c)
+        assert io_equivalent(t, FourTuple(A, N, b, 1.01 * scale * c)) == (
+            False, "")
+        with pytest.raises(NotSimilar):
+            similarity_between(t, FourTuple(A, N, b, 1.01 * scale * c))
+        T0 = np.eye(3) + 0.3 * np.random.default_rng(1).standard_normal((3, 3))
+        w = similarity_between(t, conjugate(t, T0))
+        assert np.allclose(w.T, T0) and w.max_residual < 1e-10
+
+    def test_nan_residual_is_the_max_residual(self):
+        # max alone keeps a NaN only when it comes first, and a NaN must
+        # fail every "max_residual <= tol" test
+        w = SimilarityWitness(np.eye(2), {"A": 0.0, "c": math.nan})
+        assert math.isnan(w.max_residual)
 
     def test_noncanonical_input_is_rejected(self):
         dead = FourTuple(A2, E11, np.zeros(2), C2)
