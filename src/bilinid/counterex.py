@@ -17,6 +17,10 @@ Classes (all decided by rank/residual tests at runtime):
   B_alpha: 2-state systems where fixed-rate sampling aliases: (A+alpha*N,b,c)
            canonical with a nonreal conjugate eigenvalue pair.
 
+Every linear rank above comes from realization._linear, whose Krylov
+matrices are pre-scaled by ||A||, so no flag depends on the time unit;
+M and B_alpha share one build of (A + alpha N, b, c).
+
 The twin of N is M = T N' T^{-1}. It satisfies
 c (A+g N)^k b = c (A+g M)^k b for every scalar g and power k, which is what
 makes all single-constant-level probing blind to the swap, yet some longer
@@ -42,10 +46,10 @@ import numpy as np
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
                    PiecewiseConstantInput, constant_input, pulse_input)
 from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
-                     NotInBalpha, NotInC, NotInG0, NoValidL)
-from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1, rank_of
-from .realization import (_difference, _linear_ranks, _moment_gap,
-                          _self_dual, io_equivalent, krylov)
+                     NonFiniteEntry, NotInBalpha, NotInC, NotInG0, NoValidL)
+from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1
+from .realization import (_difference, _linear, _moment_gap, _self_dual,
+                          io_equivalent)
 from .simulate import _generators, _power_table, _pulse_peaks, _start
 
 
@@ -74,50 +78,62 @@ def _g0_T(t, tol, diag):
 
 def _c_tests(t, tol, diag):
     """The tests class C adds to G0: (Q - N, b0, c) canonical and e^Q - I
-    invertible. Records the shifted ranks and the eigenvalue gap in diag."""
-    r2, o2 = _linear_ranks(t.A - t.N, t.b, t.c, tol)
-    diag["shifted_reach_rank"] = r2
-    diag["shifted_obs_rank"] = o2
-    gap = float(np.min(np.abs(np.exp(eigenvalues(t.A)) - 1.0)))
-    diag["expQ_unit_eigen_gap"] = gap
-    return r2 == t.n and o2 == t.n and gap > tol.residual_tol
+    invertible. Records the shifted ranks and the eigenvalue gap
+    min |e^lam - 1| in diag. A lam with real part past 700 is read as 700
+    (np.minimum orders complex numbers by real part first), so e^lam is
+    never formed past the float range: |e^lam - 1| >= e^Re(lam) - 1, so
+    such a lam still gives a gap of at least 1e304."""
+    ranks, = _linear([t.A - t.N], t.b, t.c, tol)[1]
+    diag["shifted_reach_rank"], diag["shifted_obs_rank"] = ranks
+    e = np.exp(np.minimum(eigenvalues(t.A), 700.0))
+    diag["expQ_unit_eigen_gap"] = gap = float(np.min(np.abs(e - 1.0)))
+    return ranks == [t.n, t.n] and gap > tol.residual_tol
+
+
+def _pulse_level(t, alpha, tol):
+    """G = A + alpha N and the [reach, obs] ranks of the linear triple
+    (G, b, c): the one build that the M and B_alpha tests share. Raises
+    NonFiniteEntry for an amplitude alpha that is not finite."""
+    if not abs(alpha) < math.inf:    # NaN fails too
+        raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
+    G = t.A + alpha * t.N
+    return G, _linear([G], t.b, t.c, tol)[1][0]
 
 
 def classify(t: FourTuple, alpha: float = 1.0,
              tol: Tolerances = DEFAULT_TOL) -> ClassMembership:
     """Membership flags for G0, C, M(alpha) and, when n = 2, B_alpha. Runs
     every test; the pair constructors and twin_via_T run only the G0 test
-    (_g0_T) and, for a single-pulse seed, the tests C adds (_c_tests)."""
-    n = t.n
+    (_g0_T) and, for a single-pulse seed, the tests C adds (_c_tests).
+    Raises NonFiniteEntry for an amplitude alpha that is not finite."""
+    G, ranks = _pulse_level(t, alpha, tol)
     diag = {}
     in_g0 = _g0_T(t, tol, diag) is not None
     in_c = in_g0 and _c_tests(t, tol, diag)
 
-    r_alpha = rank_of(krylov(t.A + alpha * t.N, t.b), tol)
-    diag["alpha_reach_rank"] = r_alpha
-    in_m = diag["reach_rank"] == diag["obs_rank"] == r_alpha == n
-    in_balpha = _in_b_alpha(t, alpha, tol, diag) if n == 2 else None
+    diag["alpha_reach_rank"] = ranks[0]
+    in_m = diag["reach_rank"] == diag["obs_rank"] == ranks[0] == t.n
+    in_balpha = _in_b_alpha(G, ranks, tol, diag) if t.n == 2 else None
     return ClassMembership(in_g0, in_c, in_m, in_balpha, diag)
 
 
-def _in_b_alpha(t, alpha, tol, diag):
-    G = t.A + alpha * t.N
-    rg, og = _linear_ranks(G, t.b, t.c, tol)
+def _in_b_alpha(G, ranks, tol, diag):
+    """The B_alpha test of a 2-state tuple from its G = A + alpha N and the
+    ranks of (G, b, c) (_pulse_level)."""
     lam = eigenvalues(G)
-    im = float(np.max(np.abs(lam.imag)))
-    diag["alpha_pair_reach_rank"] = rg
-    diag["alpha_pair_obs_rank"] = og
-    diag["max_imag_part"] = im
-    return rg == 2 and og == 2 and im > tol.residual_tol * float(
+    diag["alpha_pair_reach_rank"], diag["alpha_pair_obs_rank"] = ranks
+    diag["max_imag_part"] = im = float(np.max(np.abs(lam.imag)))
+    return ranks == [2, 2] and im > tol.residual_tol * float(
         np.max(np.abs(lam)))
 
 
 def in_b_alpha(t: FourTuple, alpha: float,
                tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Strict B_alpha predicate; defined for n = 2 only."""
+    """Strict B_alpha predicate; defined for n = 2 only. Raises
+    NonFiniteEntry for an amplitude alpha that is not finite."""
     if t.n != 2:
         raise DimensionMismatch(f"B_alpha is defined for n=2, got n={t.n}")
-    return _in_b_alpha(t, alpha, tol, {})
+    return _in_b_alpha(*_pulse_level(t, alpha, tol), tol, {})
 
 
 def _twin(T, N):
@@ -349,17 +365,17 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
     _check_pulse(tau, alpha)
-    if not in_b_alpha(t, alpha, tol):
+    G, ranks = _pulse_level(t, alpha, tol)
+    if not _in_b_alpha(G, ranks, tol, {}):
         raise NotInBalpha("system must lie in B_alpha")
 
-    G = t.A + alpha * t.N
     (g11, g12), (g21, g22) = G
     s = math.sqrt(-(g11 - g22) ** 2 / 4 - g12 * g21)
     L = (2.0 * math.pi / tau) * (G - (g11 + g22) / 2 * np.eye(2)) / s
 
     def admissible(cand):
         return (abs(s + 2.0 * cand * math.pi / tau) > tol.residual_tol
-                and _linear_ranks(G + cand * L, t.b, t.c, tol) == (2, 2))
+                and _linear([G + cand * L], t.b, t.c, tol)[1] == [[2, 2]])
 
     if l is None:
         for cand in (k * sgn for k in range(1, 51) for sgn in (1, -1)):

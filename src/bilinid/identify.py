@@ -23,8 +23,9 @@ Both logarithms, and both flows over tau0, come from one stacked pass
 (matfun._logm_flows); for kind I F is padded to blockdiag(F, 1) to match
 the Van Loan block, and log 1 = 0 leaves A in the top-left block. Then
 N = (G - A)/alpha, and the three final ranks (reachability of (A, b),
-observability of (A, c), reachability of (G, b)) come from one batched
-SVD.
+observability of (A, c), reachability of (G, b)) come from
+realization._linear over [A, G], one batched SVD that ignores the time
+unit.
 
 A row shift that leaves the span of H0 means pulse-end states short of the
 order (NotCanonicalResult); a column shift that leaves it means widths that
@@ -52,9 +53,9 @@ import numpy as np
 from .core import TYPE_I, FourTuple
 from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
                      SpectrumOnCut, UnobservablePair)
-from .matfun import (DEFAULT_TOL, Tolerances, _logm_flows, _logm_one, expm,
-                     rank_of)
-from .realization import _ranks, is_canonical, krylov
+from .matfun import (DEFAULT_TOL, Tolerances, _cut, _logm_flows, _logm_one,
+                     expm, rank_of)
+from .realization import _linear, is_canonical
 from .simulate import _finite, _generators, _start
 
 
@@ -173,7 +174,7 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     U, s, Vh = np.linalg.svd(H0)
     if s[0] <= 1e-300:
         raise OrderAmbiguous("response is identically zero")
-    n = int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    n = int(_cut(s, tol))
     if n == m:
         raise OrderAmbiguous(f"no rank gap within Hankel size {m}")
     if s[n] > 0 and s[n - 1] / s[n] < 10.0:
@@ -246,8 +247,7 @@ def _joint(oracle, m, step, tau0, tol):
     Z = np.diff(Y[:, :-1], axis=1) if kind_i else Y[:, :-1]
     U, s, Vh = np.linalg.svd(Z[:m, :m])
     # a grid that the tau0 samples swamp holds no direction
-    n = (int(np.count_nonzero(s > tol.rank_tol * s[0]))
-         if s[0] > tol.rank_tol * scale else 0)
+    n = int(_cut(s, tol)) if s[0] > tol.rank_tol * scale else 0
     Un = U[:, :n]
     off = float(np.linalg.norm(y_tau0 - Un @ (Un.T @ y_tau0))) / scale
     if off > 1e-5:
@@ -318,8 +318,7 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     N = (G - A) / oracle.alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
-    r_reach, r_obs, r_alpha = _ranks(
-        [krylov(A, b), krylov(A.T, c).T, krylov(G, b)], tol)
+    (r_reach, r_obs), (r_alpha, _) = _linear([A, G], b, c, tol)[1]
     if not (is_canonical(result, tol) and r_reach == n and r_obs == n
             and r_alpha == n):
         raise NotCanonicalResult(

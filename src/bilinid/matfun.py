@@ -1,6 +1,10 @@
 """Dense matrix functions: exponential, the kernel phi1(Q,t) = int_0^t e^{sQ} ds,
 pseudoinverse with rank, eigenvalues, and the principal matrix logarithm.
 
+Every rank in the package is one cut, _cut: the count of singular values
+above rank_tol times the largest (rank_of, pinv_rank, the batched _ranks,
+realization's canonicality and linear-triple tests, identify's order).
+
 expm is batched numpy scaling and squaring with a Pade approximant (Al-Mohy
 and Higham, 2009, the algorithm behind scipy.linalg.expm). It exponentiates
 one matrix or each matrix of a stack: the degree m in {3, 5, 7, 9, 13}
@@ -168,25 +172,31 @@ def phi1(Q, t):
     return _phi1_block(Q, t)[..., :n, n:]
 
 
+def _cut(s, tol):
+    """The one rank rule: how many of the singular values s (last axis,
+    descending) exceed rank_tol times the largest. Every rank in the package
+    is this count, so an empty or zero s has rank 0."""
+    return (s > tol.rank_tol * s[..., :1]).sum(axis=-1)
+
+
+def _ranks(Ms, tol):
+    """The rank of the matrix Ms, or of each matrix of the stack Ms, all of
+    one shape, from one batched SVD, as Python ints."""
+    return _cut(np.linalg.svd(Ms, compute_uv=False), tol).tolist()
+
+
 def pinv_rank(M, tol: Tolerances = DEFAULT_TOL):
-    """Moore-Penrose pseudoinverse by SVD truncation at rank_tol * sigma_max,
-    plus the number of retained singular values."""
-    M = np.asarray(M, dtype=float)
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(M.T.shape), 0
-    keep = s > tol.rank_tol * s[0]
-    rank = int(np.count_nonzero(keep))
+    """Moore-Penrose pseudoinverse by SVD truncation at the rank cut, plus
+    the number of retained singular values."""
+    U, s, Vh = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
+    rank = int(_cut(s, tol))
     inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+    inv[:rank] = 1.0 / s[:rank]
     return (Vh.T * inv) @ U.T, rank
 
 
 def rank_of(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    return _ranks(np.asarray(M, dtype=float), tol)
 
 
 def eigenvalues(M):

@@ -10,6 +10,16 @@ words of length <= n1 + n2 suffices. Words are written as strings over
 {"A", "N"}; the empty string is the empty word and orderings are
 shortest-first, then lexicographic with A < N.
 
+Every linear-triple test (self_dual_T, counterex's G0, C, M and B_alpha
+tests, identify's final ranks) goes through _linear: for each A of a stack
+it builds R = krylov(A/||A||, b) and O = krylov(A'/||A||, c)' and cuts all
+their ranks in one batched SVD. Time rescaling (A, N, b) -> k (A, N, b)
+leaves A/||A|| as it is and b up to one factor, so the ranks ignore the
+time unit; unscaled, column j of R grows as ||A||^j and the cut at
+rank_tol * s_1 drops the later columns of a fast system. The pre-scale puts
+||A||^-j on column j of R and on row j of O, so T = R O'^{-1} does not
+change. b and c are not scaled: that would scale T by ||c|| / ||b||.
+
 No word is enumerated. The products of length k act on v as the columns of
 P_k = [A_w v : |w| = k], and P_{k+1} P_{k+1}' = A P_k P_k' A' + N P_k P_k' N'.
 So the word layers X_0 = v, X_{k+1} = [A X_k, N X_k] keep the column span
@@ -72,7 +82,7 @@ import numpy as np
 
 from .core import FourTuple, SimilarityWitness
 from .errors import NotCanonical, NotCanonicalTriple, NotSimilar
-from .matfun import DEFAULT_TOL, Tolerances, pinv_rank
+from .matfun import DEFAULT_TOL, Tolerances, _ranks, pinv_rank
 
 # rounding allowance per matrix product and state
 _ROUND = 8 * np.finfo(float).eps
@@ -180,17 +190,16 @@ def krylov(A, v):
     return np.column_stack(cols)
 
 
-def _ranks(Ms, tol):
-    """rank_of of each of the square matrices Ms, all of one size, from one
-    batched SVD, each cut as rank_of cuts it."""
-    s = np.linalg.svd(Ms, compute_uv=False)
-    return tuple(np.count_nonzero(s > tol.rank_tol * s[:, :1], axis=1).tolist())
-
-
-def _linear_ranks(A, b, c, tol):
-    """The reachability and observability ranks of the linear triple
-    (A, b, c), each from one Krylov matrix."""
-    return _ranks([krylov(A, b), krylov(A.T, c).T], tol)
+def _linear(As, b, c, tol):
+    """The linear-triple test of each A of the stack As: the reachability
+    and observability matrices R = krylov(A/||A||, b) and
+    O = krylov(A'/||A||, c)', stacked as (R, O) per A, and their ranks
+    [reach, obs] per A from one batched SVD. ||A|| is the 2-norm of the
+    entries (_unit), so no rank depends on the time unit (module
+    docstring)."""
+    RO = np.array([(krylov(A, b), krylov(A.T, c).T)
+                   for A in _unit(np.asarray(As, dtype=float), stack=True)])
+    return RO, _ranks(RO, tol)
 
 
 def _canonical_gap(*ts: FourTuple, tol: Tolerances):
@@ -198,14 +207,13 @@ def _canonical_gap(*ts: FourTuple, tol: Tolerances):
     reachability and observability spans (the word layers of (A, N, b) and
     of (A', N', c) up to length n-1) whose rank falls short of n, as
     (side, rank); None for a canonical tuple. One stacked span and one
-    batched SVD decide every side, each rank cut as rank_of cuts it."""
+    batched SVD decide every side."""
     n = ts[0].n
     A, N, v = map(np.array, zip(*[side for t in ts for side in (
         (t.A, t.N, t.b), (t.A.T, t.N.T, t.c))]))
-    s = np.linalg.svd(_span(A, N, v, n - 1), compute_uv=False)
-    ranks = np.count_nonzero(s > tol.rank_tol * s[:, :1], axis=1)
+    ranks = _ranks(_span(A, N, v, n - 1), tol)
     return [("reachability", r) if r < n else ("observability", o) if o < n
-            else None for r, o in ranks.reshape(-1, 2).tolist()]
+            else None for r, o in zip(ranks[::2], ranks[1::2])]
 
 
 def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -327,16 +335,14 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
 
 
 def _self_dual(A, b, c, tol):
-    """(T, reach rank, obs rank) of the linear triple (A, b, c) from one
-    Krylov matrix each way; T is the self-dual transform, or None unless
-    both ranks are full."""
-    A = np.asarray(A, dtype=float)
-    R, O = krylov(A, b), krylov(A.T, c).T
-    ranks = _ranks([R, O], tol)
-    if min(ranks) < len(R):
-        return (None, *ranks)
+    """(T, reach rank, obs rank) of the linear triple (A, b, c) from
+    _linear's pre-scaled R and O, which leave T as it is; T is the
+    self-dual transform, or None unless both ranks are full."""
+    ((R, O),), ((r, o),) = _linear([A], b, c, tol)
+    if min(r, o) < len(R):
+        return None, r, o
     # T O' = R, i.e. O T' = R', and T is symmetric anyway
-    return (np.linalg.solve(O, R.T).T, *ranks)
+    return np.linalg.solve(O, R.T).T, r, o
 
 
 def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):

@@ -171,6 +171,19 @@ class TestChecks:
                             "diagnostics"}
         assert doc["in_G0"] is True
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_classify_non_finite_amplitude_is_domain_error(self, capsys,
+                                                           shift_file, alpha):
+        # a NaN amplitude used to reach the SVD and exit 1 with "SVD did
+        # not converge"
+        code, out, err = _run(capsys, "classify", "--system", shift_file,
+                              "--alpha", alpha)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "NonFiniteEntry"
+        assert "amplitude" in doc["message"]
+        assert err == ""
+
     def test_tolerance_override(self, capsys, shift_file):
         code, out, _ = _run(capsys, "check-canonical", "--system", shift_file,
                             "--tol", "rank_tol=1e-6")

@@ -16,8 +16,8 @@ from bilinid.counterex import (BETA_TEST_SET, _pulse_certificates,
 from bilinid.realization import _difference, krylov
 from bilinid.simulate import _power_table, _pulse_peaks
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
-                            NoDistinguisherFound, NotInBalpha, NotInC,
-                            NotInG0, NoValidL, Overflow)
+                            NoDistinguisherFound, NonFiniteEntry, NotInBalpha,
+                            NotInC, NotInG0, NoValidL, Overflow)
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([0.0, 1.0])
@@ -84,6 +84,27 @@ class TestClassify:
         cm = classify(gaussian_tuple(2, np.random.default_rng(seed)))
         if cm.in_C:
             assert cm.in_G0
+
+    @pytest.mark.parametrize("spectrum, gap", [((800.0, -1.0), 1 - np.exp(-1)),
+                                               ((800.0, 900.0), np.exp(700))])
+    def test_large_real_eigenvalue_does_not_overflow(self, spectrum, gap):
+        # e^800 is past the float range; an eigenvalue past 700 reads as
+        # 700, which keeps |e^lam - 1| above 1e304
+        t = FourTuple(np.diag(spectrum), A2, [1.0, 1.0], [1.0, 1.0])
+        cm = classify(t)
+        assert cm.in_C
+        assert cm.diagnostics["expQ_unit_eigen_gap"] == pytest.approx(gap)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_is_rejected(self, alpha):
+        t2, t3 = ROTOR, gaussian_tuple(3, np.random.default_rng(0))
+        for call in (lambda: classify(t2, alpha), lambda: classify(t3, alpha),
+                     lambda: in_b_alpha(t2, alpha),
+                     lambda: sample_in_M(2, alpha, np.random.default_rng(0)),
+                     lambda: sample_in_B_alpha(alpha,
+                                               np.random.default_rng(0))):
+            with pytest.raises(NonFiniteEntry, match="amplitude"):
+                call()
 
 
 class TestTwin:
@@ -196,8 +217,8 @@ class TestConstructorsDecideOnce:
             calls.append(1)
             return krylov(A, v)
 
-        for module in (counterex, realization):
-            monkeypatch.setattr(module, "krylov", spy)
+        # every Krylov matrix is built in realization._linear
+        monkeypatch.setattr(realization, "krylov", spy)
         single_pulse_pair(c_seed, 2.0, 0.5)
         assert len(calls) <= 4
         calls.clear()

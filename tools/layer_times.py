@@ -10,10 +10,11 @@ imports bilinid from TREE/src (default: the tree this script lives in) and
 the item generator from this tree's bench/workloads.py, so two trees can
 be timed on the same items. It prints:
 
-- µs per call of _power_table, _pulse_peaks, _moment_gap and io_equivalent
-  over the single-pulse and pulse-family items (the "pulse ops"), each
-  call replayed with the arguments the pair constructor passed when it
-  built that item's pair;
+- µs per call of _power_table, _pulse_peaks, _moment_gap, io_equivalent
+  and the linear-triple tests _self_dual (the G0 test's) and _c_tests over
+  the single-pulse and pulse-family items (the "pulse ops"), each call
+  replayed with the arguments the pair constructor passed when it built
+  that item's pair;
 - pairs per second for each class: single-pulse, pulse-family, constants
   (the pulse family at tau = 0) and sampled;
 - µs per call of simulate and sample_discrete over the trains items, as
@@ -42,7 +43,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED, REPS, REPEATS = 1, 300, 5
-LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent")
+LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent",
+          "_self_dual", "_c_tests")
 
 
 def best_us(calls, reps):
