@@ -22,10 +22,12 @@ expm(delta [[G, alpha b], [0, 0]]), so its logarithm also gives alpha b.
 Both logarithms, and both flows over tau0, come from one stacked pass
 (matfun._logm_flows); for kind I F is padded to blockdiag(F, 1) to match
 the Van Loan block, and log 1 = 0 leaves A in the top-left block. Then
-N = (G - A)/alpha, and the three final ranks (reachability of (A, b),
-observability of (A, c), reachability of (G, b)) come from
-realization._linear over [A, G], one batched SVD that ignores the time
-unit.
+N = (G - A)/alpha, and one batched SVD certifies the result
+(realization._canonical_gap with linear [A, G]): the extended
+reachability and observability spans of (A, N, b, c) and the Krylov
+matrices of (A, b), (A, c) and (G, b), zero-padded to the spans' row
+count, must all have rank n; none of these ranks depends on the time
+unit. Each residual below takes its norm from one dot or einsum.
 
 A row shift that leaves the span of H0 means pulse-end states short of the
 order (NotCanonicalResult); a column shift that leaves it means widths that
@@ -51,11 +53,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TYPE_I, FourTuple
-from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
-                     SpectrumOnCut, UnobservablePair)
+from .errors import (Aliased, NonFiniteEntry, NotCanonicalResult,
+                     OrderAmbiguous, PoorFit, SpectrumOnCut, UnobservablePair)
 from .matfun import (DEFAULT_TOL, Tolerances, _cut, _logm_flows, _logm_one,
-                     expm, rank_of)
-from .realization import _linear, is_canonical
+                     _norms, expm, rank_of)
+from .realization import _canonical_gap, _norm
 from .simulate import _finite, _generators, _start
 
 
@@ -113,7 +115,10 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     record beyond the float range raises Overflow.
     respond(tau, t) is the one-experiment design [min(t, tau)] x
     [t - min(t, tau)]: a time under the pulse is the end of a pulse of
-    that width."""
+    that width. Raises NonFiniteEntry for an amplitude alpha that is not
+    finite."""
+    if not abs(alpha) < np.inf:    # NaN fails too
+        raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
     if alpha == 0:
         raise ValueError("pulse amplitude must be nonzero")
     gen = _generators(t, [alpha])[0]
@@ -175,20 +180,14 @@ def realize_free_response(oracle: PulseOracle, tau0: float, h: float, m: int,
     if s[0] <= 1e-300:
         raise OrderAmbiguous("response is identically zero")
     n = int(_cut(s, tol))
-    if n == m:
-        raise OrderAmbiguous(f"no rank gap within Hankel size {m}")
-    if s[n] > 0 and s[n - 1] / s[n] < 10.0:
-        raise OrderAmbiguous(
-            f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}"
-        )
+    _order_gap(s, n)
     root = np.sqrt(s[:n])
     Un, Vn = U[:, :n], Vh[:n, :].T
     F_d = (Un.T @ H1 @ Vn) / np.outer(root, root)
     L, (flow,) = _logm_one(F_d, [tau0 / h])
     A = L / h
     x0, c = root * Vn[0], Un[0] * root
-    miss = abs(c @ flow @ x0 - y_off)
-    miss /= float(np.max(np.abs(ys)))
+    miss = abs(c @ flow @ x0 - y_off) / float(np.max(np.abs(ys)))
     if miss > 1e-5:
         raise Aliased(f"the coast misses y(2 tau0) off the h-grid by {miss:.3e}")
     return A, x0, c, s
@@ -211,6 +210,16 @@ def recover_states(oracle: PulseOracle, A, c, tau_grid, h: float, m: int,
     return X.T, (res if res.size else np.zeros(Y.shape[1]))
 
 
+def _order_gap(s, n):
+    """Raise OrderAmbiguous unless the order n leaves a gap of 10 in the
+    Hankel singular values s, below the last of them."""
+    if n == len(s):
+        raise OrderAmbiguous(f"no rank gap within Hankel size {n}")
+    if s[n] > 0 and s[n - 1] / s[n] < 10.0:
+        raise OrderAmbiguous(
+            f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}")
+
+
 def _halving(step: float, halvings: int, attempt):
     """attempt(step), halving step after each SpectrumOnCut at most
     `halvings` times; the last failure propagates."""
@@ -227,9 +236,8 @@ def _shifts(H, Un, Vn, root):
     shifted blocks, from one product, and how far each H[i] lies off the
     column and row spaces of H0, relative to H[i]."""
     P = Un.T @ H @ Vn
-    res = (np.linalg.norm(H - Un @ P @ Vn.T, axis=(1, 2))
-           / np.linalg.norm(H, axis=(1, 2)))
-    return P / np.outer(root, root), res.tolist()
+    gap, size = _norms(np.array([H - Un @ P @ Vn.T, H]))
+    return P / np.outer(root, root), (gap / size).tolist()
 
 
 def _joint(oracle, m, step, tau0, tol):
@@ -238,29 +246,26 @@ def _joint(oracle, m, step, tau0, tol):
     diagnostics; a record that is not finite, from either oracle path,
     raises Overflow."""
     kind_i = oracle.kind == TYPE_I
-    Y = _records(oracle, np.append(step * np.arange(m + 1 + kind_i), tau0),
-                 np.append(step * np.arange(m + 1), tau0))
+    # the width and offset grids, each with tau0 as its last point
+    widths, offsets = (step * np.arange(k + 2.0) for k in (m + kind_i, m))
+    widths[-1] = offsets[-1] = tau0
+    Y = _records(oracle, widths, offsets)
     scale = float(_finite(np.max(np.abs(Y)), "record"))
     if scale <= 1e-300:
         raise OrderAmbiguous("response is identically zero")
     y_tau0 = Y[:m, -1]
-    Z = np.diff(Y[:, :-1], axis=1) if kind_i else Y[:, :-1]
+    Z = Y[:, 1:-1] - Y[:, :-2] if kind_i else Y[:, :-1]
     U, s, Vh = np.linalg.svd(Z[:m, :m])
     # a grid that the tau0 samples swamp holds no direction
     n = int(_cut(s, tol)) if s[0] > tol.rank_tol * scale else 0
     Un = U[:, :n]
-    off = float(np.linalg.norm(y_tau0 - Un @ (Un.T @ y_tau0))) / scale
+    off = _norm(y_tau0 - Un @ (Un.T @ y_tau0)) / scale
     if off > 1e-5:
         raise Aliased(f"the state at width tau0 leaves the {n} dimensions "
                       f"the delta-grid spans by {off:.3e}")
     if n == 0:
         raise OrderAmbiguous("response vanishes on the grid")
-    if n == m:
-        raise OrderAmbiguous(f"no rank gap within Hankel size {m}")
-    if s[n] > 0 and s[n - 1] / s[n] < 10.0:
-        raise OrderAmbiguous(
-            f"singular-value gap {s[n - 1] / s[n]:.2f} below 10 at order {n}"
-        )
+    _order_gap(s, n)
     root, Vn = np.sqrt(s[:n]), Vh[:n, :].T
     # F_d and E_d from the row (coast) and column (width) shifts
     P, (state_res, fit) = _shifts(np.array([Z[1:m + 1, :m], Z[:m, 1:m + 1]]),
@@ -285,14 +290,14 @@ def _joint(oracle, m, step, tau0, tol):
         raise f_fault
     L, flows = L[:, :n] / step, flows[:, 0, :n]
     A = L[0, :, :n]
-    miss = float(np.linalg.norm(c @ flows[0, :, :n] @ X - Z[-1, :m])) / scale
+    miss = _norm(c @ flows[0, :, :n] @ X - Z[-1, :m]) / scale
     if miss > 1e-5:
         raise Aliased(f"the coast misses the samples tau0 after the pulse "
                       f"ends by {miss:.3e}")
     if e_fault is not None:
         raise e_fault
     x_tau0 = flows[1, :, n] if kind_i else flows[1] @ x0
-    miss = float(np.linalg.norm(Gam @ x_tau0 - y_tau0)) / scale
+    miss = _norm(Gam @ x_tau0 - y_tau0) / scale
     if miss > 1e-5:
         raise Aliased(f"the width flow misses the state at tau0 by {miss:.3e}")
     G, b = (L[1, :, :n], L[1, :, n] / oracle.alpha) if kind_i else (L[1], x0)
@@ -318,9 +323,9 @@ def identify(oracle: PulseOracle, config: Optional[IdentifyConfig] = None,
     N = (G - A) / oracle.alpha
 
     result = FourTuple(A, N, b, c, oracle.kind)
-    (r_reach, r_obs), (r_alpha, _) = _linear([A, G], b, c, tol)[1]
-    if not (is_canonical(result, tol) and r_reach == n and r_obs == n
-            and r_alpha == n):
+    gap, (r_reach, r_obs), (r_alpha, _) = _canonical_gap(
+        result, tol=tol, linear=[A, G])
+    if not (gap is None and r_reach == r_obs == r_alpha == n):
         raise NotCanonicalResult(
             f"identified tuple fails rank checks: reach {r_reach}, "
             f"obs {r_obs}, pulse-reach {r_alpha} of {n}"

@@ -30,13 +30,15 @@ Higham, 2012), which is slower but needs no eigenvector basis. That rare
 fallback is the only place scipy is imported, so importing this package
 does not load it.
 
-The work is done on a stack by _logm_flows, in one pass: one eig, one
-batched cond and one inv over the members that pass it, and one expm over
-every member's L and flows e^{tL}, which also gives the round-trip check
-expm(L) = M. Each member's fault (cut, fallback not real, overflow,
-round trip) is returned, not raised, so a caller that needs two
-logarithms raises them in the order of its own checks; principal_logm is
-the one-member stack that raises its fault.
+The work is done on a stack by _logm_flows, in one pass: one eig, cond(V)
+of every member from one batched SVD of the eigenvector bases, one inv
+over the members that pass both the cut and the cond test (the stack
+itself, not a masked copy, when all do), and one expm over every member's
+L and flows e^{tL}, which also gives the round-trip check expm(L) = M.
+Each member's fault (cut, fallback not real, overflow, round trip) is
+returned, not raised, and only a faulty member's is built, so a caller
+that needs two logarithms raises them in the order of its own checks;
+principal_logm is the one-member stack that raises its fault.
 """
 
 from dataclasses import dataclass
@@ -172,6 +174,12 @@ def phi1(Q, t):
     return _phi1_block(Q, t)[..., :n, n:]
 
 
+def _norms(X):
+    """The 2-norm of the entries of each matrix of the stack X, from one
+    einsum."""
+    return np.sqrt(np.einsum("...ij,...ij->...", X, X))
+
+
 def _cut(s, tol):
     """The one rank rule: how many of the singular values s (last axis,
     descending) exceed rank_tol times the largest. Every rank in the package
@@ -241,25 +249,30 @@ def _logm_flows(M, times):
     scale = np.maximum(1.0, np.abs(lam).max(axis=1))[:, None]
     on_cut = (np.abs(lam.imag) <= 1e-12 * scale) & (lam.real <= 1e-12 * scale)
     cut = on_cut.any(axis=1)
-    fast = ~cut & (np.linalg.cond(V) <= _EIG_COND_MAX)
+    s = np.linalg.svd(V, compute_uv=False)
+    # cond(V) = s_1 / s_m, compared without a division by a zero s_m
+    fast = ~cut & (s[:, 0] <= _EIG_COND_MAX * s[:, -1])
+    # a stack whose members all pass is indexed by a view, not a mask copy
+    idx = slice(None) if fast.all() else fast
     L = np.zeros(M.shape, dtype=complex)
-    L[fast] = (V[fast] * np.log(lam[fast])[:, None]) @ np.linalg.inv(V[fast])
+    L[idx] = (V[idx] * np.log(lam[idx])[:, None]) @ np.linalg.inv(V[idx])
     for i in np.flatnonzero(~cut & ~fast):
         import scipy.linalg  # only here: keeps scipy off the import path
         L[i] = scipy.linalg.logm(M[i])
     imag = (np.abs(L.imag).max(axis=(1, 2))
             > 1e-8 * np.maximum(1.0, np.abs(L.real).max(axis=(1, 2))))
-    faults = [SpectrumOnCut(f"eigenvalue {lam[i, np.argmax(on_cut[i])]} "
-                            f"lies on the closed negative real axis")
-              if cut[i] else NoConvergence("principal logarithm is not real")
-              if imag[i] else None for i in range(len(M))]
-    L = np.where((cut | imag)[:, None, None], 0.0, L.real)
+    faults, L = [None] * len(M), L.real
+    for i in np.flatnonzero(cut | imag):    # a faulty member's L is 0
+        L[i], faults[i] = 0.0, (SpectrumOnCut(
+            f"eigenvalue {lam[i, np.argmax(on_cut[i])]} lies on the closed "
+            f"negative real axis") if cut[i] else
+            NoConvergence("principal logarithm is not real"))
     try:
-        E = expm(np.append(1.0, times)[:, None, None] * L[:, None])
+        E = expm(np.array([1.0, *times])[:, None, None] * L[:, None])
     except Overflow as e:
         return _member_by_member(M, times, e)
-    resid = (np.linalg.norm(E[:, 0] - M, axis=(1, 2))
-             / np.maximum(1.0, np.linalg.norm(M, axis=(1, 2))))
+    gap, size = _norms(np.array([E[:, 0] - M, M]))
+    resid = gap / np.maximum(1.0, size)
     for i in np.flatnonzero(~(resid < 1e-8)):
         faults[i] = faults[i] or NoConvergence(
             f"logm round-trip residual {resid[i]:.3e}")

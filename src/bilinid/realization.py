@@ -11,9 +11,14 @@ words of length <= n1 + n2 suffices. Words are written as strings over
 shortest-first, then lexicographic with A < N.
 
 Every linear-triple test (self_dual_T, counterex's G0, C, M and B_alpha
-tests, identify's final ranks) goes through _linear: for each A of a stack
-it builds R = krylov(A/||A||, b) and O = krylov(A'/||A||, c)' and cuts all
-their ranks in one batched SVD. Time rescaling (A, N, b) -> k (A, N, b)
+tests) goes through _linear: for each A of a stack it builds R' and O, with
+R = krylov(A/||A||, b) and O = krylov(A'/||A||, c)', and cuts all their
+ranks in one batched SVD. _krylov builds them for every A of the stack in
+one recursion, one matmul per power over [A'/||A||, A/||A||]; the public
+krylov is the same recursion on one unscaled A. identify's final ranks
+join _canonical_gap's SVD instead: R' and O padded with zero rows to the
+span's row count have the same singular values, so one SVD decides
+canonicality and every linear triple. Time rescaling (A, N, b) -> k (A, N, b)
 leaves A/||A|| as it is and b up to one factor, so the ranks ignore the
 time unit; unscaled, column j of R grows as ||A||^j and the cut at
 rank_tol * s_1 drops the later columns of a fast system. The pre-scale puts
@@ -114,8 +119,9 @@ def _unit(X, stack=False):
 
 
 def _norm(x):
-    """2-norm of x, for arrays whose entries the scaling here keeps at most
-    1, so the sum of squares cannot overflow."""
+    """2-norm of x from one dot, as np.linalg.norm takes it. The sum of
+    squares overflows past entries of about 1e154, so the word layers take
+    it only where their scaling keeps the entries at most 1."""
     return math.sqrt(np.vdot(x, x))
 
 
@@ -182,38 +188,54 @@ def _balanced(t: FourTuple):
 
 
 def krylov(A, v):
-    A = np.asarray(A, dtype=float)
+    """[v, A v, ..., A^{n-1} v], from _krylov's recursion."""
     v = np.ravel(np.asarray(v, dtype=float))
-    cols = [v]
-    for _ in range(v.shape[0] - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    return _krylov(np.asarray(A, dtype=float)[None], v, v)[0, 0].T
+
+
+def _krylov(A, b, c, rows=None):
+    """R' and O of each matrix A[i] of the stack A, as (len(A), 2, rows, n),
+    each padded with zero rows to rows (default n): the rows b' (A[i]')^j
+    of R' = krylov(A[i], b)' and c' A[i]^j of O = krylov(A[i]', c)', for
+    every A[i] at once from one batched recursion, one matmul per power."""
+    n = len(b)
+    K = np.zeros((len(A), 2, rows or n, n))
+    K[:, :, 0] = b, c
+    step = np.stack([A.transpose(0, 2, 1), A], 1)
+    for j in range(1, n):
+        K[:, :, j:j + 1] = K[:, :, j - 1:j] @ step
+    return K
 
 
 def _linear(As, b, c, tol):
     """The linear-triple test of each A of the stack As: the reachability
-    and observability matrices R = krylov(A/||A||, b) and
-    O = krylov(A'/||A||, c)', stacked as (R, O) per A, and their ranks
-    [reach, obs] per A from one batched SVD. ||A|| is the 2-norm of the
-    entries (_unit), so no rank depends on the time unit (module
-    docstring)."""
-    RO = np.array([(krylov(A, b), krylov(A.T, c).T)
-                   for A in _unit(np.asarray(As, dtype=float), stack=True)])
-    return RO, _ranks(RO, tol)
+    and observability matrices R and O of (A/||A||, b, c) from _krylov,
+    stacked as (R', O) per A, and their ranks [reach, obs] per A from one
+    batched SVD. ||A|| is the 2-norm of the entries (_unit), so no rank
+    depends on the time unit (module docstring)."""
+    K = _krylov(_unit(np.asarray(As, dtype=float), stack=True), b, c)
+    return K, _ranks(K, tol)
 
 
-def _canonical_gap(*ts: FourTuple, tol: Tolerances):
+def _canonical_gap(*ts: FourTuple, tol: Tolerances, linear=()):
     """For each of the tuples ts, all of one n, the first of its extended
     reachability and observability spans (the word layers of (A, N, b) and
     of (A', N', c) up to length n-1) whose rank falls short of n, as
-    (side, rank); None for a canonical tuple. One stacked span and one
-    batched SVD decide every side."""
+    (side, rank); None for a canonical tuple. Each A of linear adds the
+    ranks [reach, obs] of the linear triple (A, b, c) of ts[0] (_linear)
+    to the list, its R' and O padded with zero rows to the span's row
+    count, which leaves their singular values as they are. One stacked
+    span and one batched SVD decide every side and every triple."""
     n = ts[0].n
     A, N, v = map(np.array, zip(*[side for t in ts for side in (
         (t.A, t.N, t.b), (t.A.T, t.N.T, t.c))]))
-    ranks = _ranks(_span(A, N, v, n - 1), tol)
+    span = _span(A, N, v, n - 1)
+    span = span.reshape(-1, 2, *span.shape[1:])    # [reach, obs] per tuple
+    K = (_krylov(_unit(np.array(linear), stack=True), *v[:2], span.shape[2])
+         if len(linear) else span[:0])    # v[:2] is b and c of ts[0]
+    pairs = _ranks(np.concatenate([span, K]), tol)
     return [("reachability", r) if r < n else ("observability", o) if o < n
-            else None for r, o in zip(ranks[::2], ranks[1::2])]
+            else None for r, o in pairs[:len(ts)]] + pairs[len(ts):]
 
 
 def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -318,7 +340,7 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     except np.linalg.LinAlgError:
         raise NotSimilar("recovered T is singular") from None
     def rel(x, y):    # on the scale of x itself, 0/0 read as 0
-        gap, size = _unit(x - y)[1], _unit(x)[1]
+        gap, size = (math.hypot(*z.ravel().tolist()) for z in (x - y, x))
         return gap / size if size else (math.inf if gap else 0.0)
     residuals = {
         "A": rel(t1.A, T @ t2.A @ Tinv),
@@ -338,11 +360,11 @@ def _self_dual(A, b, c, tol):
     """(T, reach rank, obs rank) of the linear triple (A, b, c) from
     _linear's pre-scaled R and O, which leave T as it is; T is the
     self-dual transform, or None unless both ranks are full."""
-    ((R, O),), ((r, o),) = _linear([A], b, c, tol)
-    if min(r, o) < len(R):
+    ((Rt, O),), ((r, o),) = _linear([A], b, c, tol)
+    if min(r, o) < len(O):
         return None, r, o
     # T O' = R, i.e. O T' = R', and T is symmetric anyway
-    return np.linalg.solve(O, R.T).T, r, o
+    return np.linalg.solve(O, Rt).T, r, o
 
 
 def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):

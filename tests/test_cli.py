@@ -292,6 +292,18 @@ class TestIdentify:
         assert out == ""
         assert "unrecognized arguments: --h" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_amplitude_is_domain_error(self, capsys, scalar_file,
+                                                  alpha):
+        # a NaN amplitude used to reach expm and exit 2 with "Overflow"
+        code, out, err = _run(capsys, "identify", "--system", scalar_file,
+                              "--alpha", alpha)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "NonFiniteEntry"
+        assert "amplitude" in doc["message"]
+        assert err == ""
+
     def test_order_bound_below_one_is_usage_error(self, capsys, scalar_file):
         code, out, err = _run(capsys, "identify", "--system", scalar_file,
                               "--n-max", "-1")

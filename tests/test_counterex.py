@@ -13,7 +13,7 @@ from bilinid import counterex, realization
 from bilinid.counterex import (BETA_TEST_SET, _pulse_certificates,
                                _sampled_agreement, _witness_widths,
                                distinguishing_search, gaussian_tuple)
-from bilinid.realization import _difference, krylov
+from bilinid.realization import _difference
 from bilinid.simulate import _power_table, _pulse_peaks
 from bilinid.errors import (DegenerateRescale, DimensionMismatch,
                             NoDistinguisherFound, NonFiniteEntry, NotInBalpha,
@@ -212,13 +212,14 @@ class TestConstructorsDecideOnce:
         g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
                                   scale=0.4)
         calls = []
+        build = realization._krylov
 
-        def spy(A, v):
-            calls.append(1)
-            return krylov(A, v)
+        def spy(As, b, c):
+            calls.extend([1, 1] * len(As))    # R and O of each A
+            return build(As, b, c)
 
-        # every Krylov matrix is built in realization._linear
-        monkeypatch.setattr(realization, "krylov", spy)
+        # every Krylov matrix is built in realization._krylov, for _linear
+        monkeypatch.setattr(realization, "_krylov", spy)
         single_pulse_pair(c_seed, 2.0, 0.5)
         assert len(calls) <= 4
         calls.clear()

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
                      Tolerances, identify, io_equivalent, is_canonical,
-                     oracle_from_tuple, realize_free_response, recover_states,
-                     respond_pulse, sample_in_M, similarity_between)
+                     krylov, oracle_from_tuple, rank_of, realize_free_response,
+                     recover_states, respond_pulse, sample_in_M,
+                     similarity_between)
 from bilinid import matfun
 from bilinid.errors import (Aliased, BilinError, NoConvergence,
-                            NotCanonicalResult, OrderAmbiguous, Overflow,
-                            PoorFit, UnobservablePair)
+                            NonFiniteEntry, NotCanonicalResult,
+                            OrderAmbiguous, Overflow, PoorFit,
+                            UnobservablePair)
 
 # the module; the package's name "identify" is the function
 IDENTIFY = importlib.import_module("bilinid.identify")
@@ -71,6 +73,13 @@ class TestOracle:
     def test_rejects_zero_amplitude(self):
         with pytest.raises(ValueError):
             oracle_from_tuple(SCALAR, 0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitude(self, alpha):
+        # a NaN or infinite amplitude used to reach expm and raise Overflow
+        with pytest.raises(NonFiniteEntry,
+                           match="amplitude alpha must be finite"):
+            oracle_from_tuple(SCALAR, alpha)
 
     def test_rejects_negative_times(self):
         oracle = oracle_from_tuple(SCALAR, 1.0)
@@ -371,6 +380,81 @@ class TestIdentify:
                 identify(oracle, IdentifyConfig(n_max=4),
                          rng=np.random.default_rng(0))
             assert len(calls) <= 66
+
+
+def _keeps_head(rng, n, dual=False):
+    """A random n x n matrix that maps the span of the first n-1 unit
+    vectors into itself, or, with dual, whose transpose does."""
+    M = rng.standard_normal((n, n))
+    M[-1, :-1] = 0.0
+    return M.T if dual else M
+
+
+def _certificate_cases(n, rng):
+    """(label, (A, G, b, c)) quadruples around each final rank check: b in
+    the span of the first n-1 unit vectors with A (or G, or both) keeping
+    it, and c in it with A' keeping it. The last entry of b or c is 0, or
+    1e-14 or 1e-6 relative, on either side of the cut at rank_tol. Last,
+    the canonicality check alone: (A, b), (A, c) and (G, b) full, but
+    (G, c) unobservable and A so small next to G that the words with an A
+    in them fall under the cut (scale 1e-12) or do not (1e-6)."""
+    cases = [("canonicality only", (scale * rng.standard_normal((n, n)),
+                                    np.diag(np.arange(1.0, n + 1)),
+                                    rng.standard_normal(n), np.eye(n)[0]))
+             for scale in (1e-12, 1e-6)]
+    for eps in (0.0, 1e-14, 1e-6):
+        A, G = rng.standard_normal((2, n, n))
+        b, c, near = rng.standard_normal((3, n))
+        near[-1] = eps * np.linalg.norm(near)
+        head = _keeps_head(rng, n)
+        cases += [
+            ("generic", (A, G, b, c)),
+            ("(A, b) unreachable", (head, G, near, c)),
+            ("(A, c) unobservable", (_keeps_head(rng, n, True), G, b, near)),
+            ("(G, b) unreachable, (A, b) reachable", (A, head, near, c)),
+            ("not canonical", (head, _keeps_head(rng, n), near, c)),
+        ]
+    return cases
+
+
+def _fails_rank_checks(A, G, b, c):
+    """The final checks, from the public API: the tuple is canonical, and
+    (A, b), (A, c) and (G, b) are full rank with A and G scaled to unit
+    2-norm."""
+    n = len(b)
+    unit = lambda M: M / np.linalg.norm(M)
+    return not (is_canonical(FourTuple(A, G - A, b, c))
+                and rank_of(krylov(unit(A), b)) == n
+                and rank_of(krylov(unit(A).T, c)) == n
+                and rank_of(krylov(unit(G), b)) == n)
+
+
+class TestFinalCertificate:
+    """identify's final checks (canonicality and the three linear ranks)
+    come from one SVD, and reject exactly what the checks one at a time
+    reject."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rejects_what_the_separate_checks_reject(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        oracle = PulseOracle(lambda tau, time: 0.0, 1.0, TYPE_I)
+        cases, verdicts = _certificate_cases(n, rng), set()
+        for label, found in cases:
+            monkeypatch.setattr(IDENTIFY, "_halving",
+                                lambda *args, found=found: (found, {}))
+            fails = _fails_rank_checks(*found)
+            verdicts.add((label, fails))
+            if fails:
+                with pytest.raises(NotCanonicalResult):
+                    identify(oracle)
+            else:
+                assert identify(oracle).n_identified == n
+        # each check is missed where the structure is exact, and met at
+        # the 1e-6 perturbation or scale
+        for label in {label for label, _ in cases} - {"generic"}:
+            assert (label, False) in verdicts
+            assert n == 1 or (label, True) in verdicts
+        assert ("generic", True) not in verdicts
 
 
 class TestStackedAttempt:

@@ -14,7 +14,8 @@ from bilinid.core import SimilarityWitness
 from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
 from bilinid.matfun import rank_of
 from bilinid.realization import (_balanced, _canonical_gap, _difference,
-                                 _layers, _lex_first, _norm, _span, _unit)
+                                 _layers, _lex_first, _linear, _norm, _span,
+                                 _unit)
 
 from oracles import all_words, brute_coefficient, word_product, word_row
 
@@ -197,6 +198,54 @@ DEAD = FourTuple(A2, E11, np.zeros(2), C2)           # b = 0: no reach
 BLIND = FourTuple(A2.T, E11, C2, np.zeros(2))        # c = 0: no obs
 DIAGONAL = FourTuple(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]),
                      [1.0, 0.0], [1.0, 0.0])         # short on both sides
+
+
+def _matvec_krylov(A, v):
+    """[v, A v, ..., A^{n-1} v], one matvec per column."""
+    cols = [np.asarray(v, dtype=float)]
+    for _ in range(len(v) - 1):
+        cols.append(A @ cols[-1])
+    return np.column_stack(cols)
+
+
+class TestBatchedKrylov:
+    """_linear builds every Krylov matrix of its stack in one recursion."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_krylov_of_each_member(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = seed % 4 + 1, seed % 3 + 1
+        As = rng.standard_normal((k, n, n)) * 10.0 ** rng.uniform(-3, 3, k)[
+            :, None, None]
+        if seed % 2:
+            As[-1] = 0.0     # left as it is by the unit scaling
+        b, c = rng.standard_normal(n), rng.standard_normal(n)
+        K, ranks = _linear(As, b, c, DEFAULT_TOL)
+        assert K.shape == (k, 2, n, n) and len(ranks) == k
+        for A, (Rt, O), pair in zip(As, K, ranks):
+            size = np.linalg.norm(A)
+            A = A / size if size else A
+            R_ref, O_ref = _matvec_krylov(A, b), _matvec_krylov(A.T, c).T
+            for K_i, ref in ((Rt.T, R_ref), (O, O_ref), (krylov(A, b), R_ref),
+                             (krylov(A.T, c).T, O_ref)):
+                assert np.linalg.norm(K_i - ref) <= 1e-15 * np.linalg.norm(ref)
+            assert pair == [rank_of(R_ref), rank_of(O_ref)]
+
+    def test_zero_member_has_rank_one(self):
+        K, ranks = _linear(np.zeros((1, 3, 3)), [1.0, 2.0, 3.0],
+                           [0.0, 1.0, 0.0], DEFAULT_TOL)
+        assert ranks == [[1, 1]]
+        assert K[0, 0].tolist() == [[1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3]
+
+    def test_linear_ranks_beside_the_span(self):
+        # the padded R' and O share the span's SVD: same ranks as _linear
+        rng = np.random.default_rng(4)
+        cases = SPAN_CASES + [DEAD, BLIND, DIAGONAL]
+        for t in cases + [conjugate(t, _conditioned(rng, t.n)) for t in cases]:
+            As = [t.A, t.A + t.N, np.zeros((t.n, t.n))]
+            gap, *pairs = _canonical_gap(t, tol=DEFAULT_TOL, linear=As)
+            assert gap == _canonical_gap(t, tol=DEFAULT_TOL)[0]
+            assert pairs == _linear(As, t.b, t.c, DEFAULT_TOL)[1]
 
 
 class TestStackedSpan:

@@ -5,6 +5,7 @@ the identify benchmark's items (seed 1), in one process on one BLAS
 thread.
 
     python tools/layer_times.py [--tree TREE]
+    python tools/layer_times.py [--tree TREE] --against BASE [--rounds R]
 
 imports bilinid from TREE/src (default: the tree this script lives in) and
 the item generator from this tree's bench/workloads.py, so two trees can
@@ -25,10 +26,21 @@ be timed on the same items. It prints:
   as the equivalence workload calls them;
 - µs per call by n and kind of identify over the identify items, as the
   identify workload calls it, and the expm calls (the oracle's included)
-  and eig calls per identify.
+  and eig calls per identify;
+- µs per call of the layers of identify (IDENTIFY_LAYERS) over the
+  identify items: _logm_flows, replayed with the arguments identify passed
+  it, and the final certificate, identify with _halving replaying what the
+  attempts returned, so that only the checks after the attempts run.
 
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
+
+With --against BASE, it times the identify round and its layers on TREE
+and on BASE instead, both imported in this one process under distinct
+package names (as bench/workloads.py is, once for each), in R rounds
+(default 20) whose order alternates between the trees, and prints for each
+the median over rounds of TREE's time over BASE's: on a noisy host, a
+ratio taken within one round sees one machine state.
 """
 
 import os
@@ -37,14 +49,19 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import importlib.util
+import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 SEED, REPS, REPEATS = 1, 300, 5
 LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent",
           "_self_dual", "_c_tests")
+IDENTIFY_LAYERS = ("identify", "_logm_flows", "certificate")
 
 
 def best_us(calls, reps):
@@ -103,14 +120,112 @@ def calls_per_op(bindings, ops):
     return count / len(ops)
 
 
+def identify_calls(module, work, items):
+    """The zero-argument calls of each of IDENTIFY_LAYERS over the identify
+    items: the workload's op; the _logm_flows calls identify makes,
+    replayed; and identify of each item's oracle with _halving replaying
+    the result the attempts returned. module is the identify module."""
+    logm, halving, logm_calls, found = module._logm_flows, module._halving, [], []
+
+    def spy_logm(*args):
+        logm_calls.append(lambda: logm(*args))
+        return logm(*args)
+
+    def spy_halving(*args):
+        found.append(halving(*args))
+        return found[-1]
+    module._logm_flows, module._halving = spy_logm, spy_halving
+    try:
+        for item in items:
+            work.run(item)
+    finally:
+        module._logm_flows, module._halving = logm, halving
+
+    cfg, rng = module.IdentifyConfig(n_max=4), np.random.default_rng(0)
+
+    def certificate(oracle, result):
+        module._halving = lambda *args: result
+        try:
+            module.identify(oracle, cfg, rng=rng)
+        finally:
+            module._halving = halving
+    certificates = [
+        lambda oracle=module.oracle_from_tuple(truth, alpha), result=result:
+        certificate(oracle, result) for (truth, alpha, _), result
+        in zip(items, found)]
+    return {"identify": [lambda item=item: work.run(item) for item in items],
+            "_logm_flows": logm_calls, "certificate": certificates}
+
+
+def load_tree(tree, name):
+    """bilinid from TREE/src, imported as the package `name`, and the
+    bench/workloads.py beside this script imported with its `bilinid`
+    bound to that package."""
+    def load(module, path, **kwargs):
+        spec = importlib.util.spec_from_file_location(module, path, **kwargs)
+        sys.modules[module] = loaded = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded)
+        return loaded
+    src = tree.resolve() / "src" / "bilinid"
+    package = load(name, src / "__init__.py",
+                   submodule_search_locations=[str(src)])
+    saved = sys.modules.get("bilinid")
+    sys.modules["bilinid"] = package
+    try:
+        work = load(f"workloads_{name}", HERE / "bench" / "workloads.py")
+    finally:
+        if saved is None:
+            del sys.modules["bilinid"]
+        else:
+            sys.modules["bilinid"] = saved
+    return sys.modules[f"{name}.identify"], work
+
+
+def interleaved(tree, base, rounds):
+    """The median over rounds of TREE's time over BASE's for the identify
+    round and each of its layers, the two trees taking turns to go first."""
+    sys.path[:0] = [str(HERE / "tests"), str(HERE / "bench")]
+    calls = []
+    for path, name in ((tree, "bilinid_tree"), (base, "bilinid_base")):
+        module, workloads = load_tree(path, name)
+        work = workloads.Identify()
+        items = work.generate(workloads.rng_for(work.name, SEED))
+        calls.append(identify_calls(module, work, items))
+        print(f"{name}: {Path(module.__file__).parent}")
+    reps = {"identify": REPS // 30, "_logm_flows": REPS // 10,
+            "certificate": REPS // 10}
+    ratios = {layer: [] for layer in IDENTIFY_LAYERS}
+    clock = time.perf_counter
+    for r in range(rounds):
+        for layer in IDENTIFY_LAYERS:
+            took = [0.0, 0.0]
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                start = clock()
+                for _ in range(reps[layer]):
+                    for call in calls[i][layer]:
+                        call()
+                took[i] = clock() - start
+            ratios[layer].append(took[0] / took[1])
+    print(f"median of {rounds} per-round ratios, tree / base (identify "
+          f"items, seed {SEED}); quartiles in brackets")
+    for layer, values in ratios.items():
+        q1, q2, q3 = statistics.quantiles(values, n=4)
+        print(f"{q2:9.3f}x  {layer} [{q1:.3f}-{q3:.3f}] "
+              f"({len(calls[0][layer])} calls per pass)")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=HERE)
+    parser.add_argument("--against", type=Path, metavar="BASE",
+                        help="time TREE against BASE, interleaved")
+    parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return interleaved(args.tree, args.against, args.rounds)
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(HERE / "tests"),
                     str(HERE / "bench")]
     import bilinid as bl
-    import numpy as np
     import workloads
     from bilinid import counterex
 
@@ -187,6 +302,11 @@ def main(argv=None):
     eig = calls_per_op([(np.linalg, "eig")], ops)
     print(f"{expm:9.2f} expm calls/op, oracle's included; {eig:.2f} eig "
           f"calls/op  bilinid.identify ({len(ops)} per round)")
+    layers = identify_calls(sys.modules["bilinid.identify"], work, items)
+    for layer in IDENTIFY_LAYERS[1:]:
+        us = best_us(layers[layer], REPS // 10)
+        print(f"{us:9.1f} µs/call  identify {layer} "
+              f"({len(layers[layer])} calls)")
 
 
 if __name__ == "__main__":
