@@ -6,9 +6,15 @@ _canonical_gap, which is_canonical and the CLI's check-canonical read.
 
 Two 4-tuples are i/o equivalent exactly when the series coefficients
 c A_{i1} ... A_{ik} b (A_0 = A, A_1 = N) agree for every word; checking all
-words of length <= n1 + n2 suffices. Words are written as strings over
-{"A", "N"}; the empty string is the empty word and orderings are
-shortest-first, then lexicographic with A < N.
+words of length <= n1 + n2 - 1 suffices. The coefficient differences are
+[c1, -c2] A_w [b1; b2] for the stacked pair (A1 (+) A2, N1 (+) N2), and the
+span V_k of its A_w [b1; b2] with |w| <= k grows with k until a length adds
+nothing: then V_k is invariant under A and N, and no longer length adds
+anything either. In n1 + n2 states V_k is complete by k = n1 + n2 - 1, so a
+row [c1, -c2] that vanishes on the words up to that length vanishes on
+every word. Words are written as strings over {"A", "N"}; the empty string
+is the empty word and orderings are shortest-first, then lexicographic
+with A < N.
 
 Every linear-triple test (self_dual_T, counterex's G0, C, M and B_alpha
 tests) goes through _linear: for each A of a stack it builds R' and O, with
@@ -61,7 +67,7 @@ Equivalence runs the layers of the stacked pair (A1 (+) A2, N1 (+) N2,
 ||b_i|| = ||c_i|| and leaves its i/o map as it is, so that each member
 weighs by its output scale and not by the scale of its states. The layers
 come from a generator and are judged as they come, so none past the first
-failing length is built.
+failing length is built, and none past length n1 + n2 - 1.
 ||[c1, -c2] X_k|| is the 2-norm of the coefficient differences of
 length k, and length k fails when it exceeds residual_tol times the larger
 coefficient norm of the two tuples, max(||c1 X_k^top||, ||c2 X_k^bot||),
@@ -181,10 +187,14 @@ def _balanced(t: FourTuple):
     """(b / beta, beta c) with beta = sqrt(||b|| / ||c||): the b and c of t
     after a change of basis that leaves its i/o map as it is and makes
     ||b|| = ||c||, so that in a stacked pair each member weighs by its
-    output scale and not by the scale of its states."""
-    (b, nb), (c, nc) = _unit(t.b), _unit(t.c)
+    output scale and not by the scale of its states. Both come out as
+    m (b / ||b||) and m (c / ||c||) with m = sqrt(||b||) sqrt(||c||): two
+    roots stay finite and nonzero where the quotient ||c|| / ||b|| does
+    not, and the unit b takes m where one factor m / ||b|| overflows at a
+    subnormal ||b||. A zero b or c zeroes both."""
+    nb, nc = math.hypot(*t.b.tolist()), math.hypot(*t.c.tolist())
     m = math.sqrt(nb) * math.sqrt(nc)
-    return m * b, m * c
+    return (m * (t.b / nb), m * (t.c / nc)) if m else (0.0 * t.b, 0.0 * t.c)
 
 
 def krylov(A, v):
@@ -231,9 +241,10 @@ def _canonical_gap(*ts: FourTuple, tol: Tolerances, linear=()):
         (t.A, t.N, t.b), (t.A.T, t.N.T, t.c))]))
     span = _span(A, N, v, n - 1)
     span = span.reshape(-1, 2, *span.shape[1:])    # [reach, obs] per tuple
-    K = (_krylov(_unit(np.array(linear), stack=True), *v[:2], span.shape[2])
-         if len(linear) else span[:0])    # v[:2] is b and c of ts[0]
-    pairs = _ranks(np.concatenate([span, K]), tol)
+    if len(linear):    # v[:2] is b and c of ts[0]
+        K = _krylov(_unit(np.array(linear), stack=True), *v[:2], span.shape[2])
+        span = np.concatenate([span, K])
+    pairs = _ranks(span, tol)
     return [("reachability", r) if r < n else ("observability", o) if o < n
             else None for r, o in pairs[:len(ts)]] + pairs[len(ts):]
 
@@ -243,19 +254,22 @@ def is_canonical(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
-    """Compare the series coefficients of every word length up to n1 + n2,
-    one length at a time on the word layers of the stacked pair (module
-    docstring); no layer past the first differing length is built. Returns
-    (equivalent, lex-first word of the first differing length or None)."""
-    n1 = t1.n
-    d = _difference(t1, t2)
+    """Compare the series coefficients of every word length up to
+    n1 + n2 - 1, one length at a time on the word layers of the stacked pair
+    (module docstring); no layer past the first differing length is built.
+    Returns (equivalent, lex-first word of the first differing length or
+    None)."""
+    n1, n = t1.n, t1.n + t2.n
     (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
-    step, _ = _unit(np.hstack([d.A.T, d.N.T]))
+    step = np.zeros((n, 2 * n))    # [A', N'] of (A1 (+) A2, N1 (+) N2)
+    step[:n1, :n1], step[n1:, n1:n] = t1.A.T, t2.A.T
+    step[:n1, n:n + n1], step[n1:, n + n1:] = t1.N.T, t2.N.T
+    step, _ = _unit(step)
     r, _ = _unit(np.concatenate([c1, -c2]))
-    R = np.zeros((d.n, 3))       # [r1 (+) 0, 0 (+) r2, r]
+    R = np.zeros((n, 3))       # [r1 (+) 0, 0 (+) r2, r]
     R[:n1, 0], R[n1:, 1], R[:, 2] = r[:n1], r[n1:], r
     layers, err = [], []
-    for Z, e in _layers(step, np.concatenate([b1, b2]), d.n):
+    for Z, e in _layers(step, np.concatenate([b1, b2]), n - 1):
         Y = Z @ R
         top, bottom, gap = np.sqrt((Y * Y).sum(axis=0)).tolist()
         if gap > tol.residual_tol * max(top, bottom) + e:

@@ -12,6 +12,7 @@ from bilinid import (DEFAULT_TOL, TYPE_II, FourTuple, Tolerances, conjugate,
                      similarity_between, single_pulse_pair, twin_via_T)
 from bilinid.core import SimilarityWitness
 from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
+from bilinid import realization
 from bilinid.matfun import rank_of
 from bilinid.realization import (_balanced, _canonical_gap, _difference,
                                  _layers, _lex_first, _linear, _norm, _span,
@@ -407,6 +408,35 @@ class TestIoEquivalence:
         assert io_equivalent(t, other, Tolerances(residual_tol=1e-11)) \
             == (False, "N")
 
+    @pytest.mark.parametrize("s, k", [
+        (1e-200, 1e200), (1e200, 1e-200), (1e-300, 1.0), (1.0, 1e300),
+        (1e-312, 1e307), (1e307, 1e-312)])
+    def test_extreme_output_scales_keep_verdict_and_word(self, s, k):
+        # ||c|| / ||b|| reaches 1e400 and more: the balancing takes
+        # sqrt(||b||) sqrt(||c||) as two roots and scales the unit b and c
+        # by it, since the one quotient overflows; at a subnormal ||b||,
+        # so does a single factor sqrt(||c||) / sqrt(||b||) on b
+        rng = np.random.default_rng(3)
+        t, _ = sample_in_G0(3, rng)
+        for other, same in ((conjugate(t, _conditioned(rng, 3)), True),
+                            (twin_via_T(t), False)):
+            for pair in ((t, other), (other, t)):
+                verdict = io_equivalent(*pair)
+                assert verdict[0] is same and (same or verdict[1])
+                scaled = [FourTuple(x.A, x.N, s * x.b, k * x.c) for x in pair]
+                assert io_equivalent(*scaled) == verdict
+
+    def test_a_member_with_zero_b_or_c_weighs_nothing(self):
+        # every coefficient of a member with c = 0 (or b = 0) is 0, however
+        # large its b (or c): against c2 b2 != 0 the pair differs at c b
+        t, other = _random_tuple(20, n=3), _random_tuple(21, n=2)
+        assert abs(other.c @ other.b) > 0.1
+        zero = np.zeros(3)
+        for mute in (FourTuple(t.A, t.N, 1e20 * t.b, zero),
+                     FourTuple(t.A, t.N, zero, 1e20 * t.c)):
+            assert io_equivalent(mute, other) == (False, "")
+            assert io_equivalent(other, mute) == (False, "")
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans(),
            st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-8.0, 8.0))
@@ -524,6 +554,31 @@ class TestEarlyStop:
         same = conjugate(t, _conditioned(np.random.default_rng(5), 6))
         assert io_equivalent(t, same) == (True, None)
         assert calls == [(64, 12), (96, 12)]
+
+    def test_an_equivalent_pair_judges_lengths_up_to_n1_plus_n2_minus_1(
+            self, monkeypatch):
+        # the span of the words of the stacked pair's n1 + n2 states is
+        # complete at length n1 + n2 - 1, so an equivalent pair builds the
+        # n1 + n2 layers of lengths 0 .. n1 + n2 - 1 and no more
+        built = []
+        layers = realization._layers
+
+        def counted(*args):
+            for layer in layers(*args):
+                built.append(layer)
+                yield layer
+
+        monkeypatch.setattr(realization, "_layers", counted)
+        t = _random_tuple(6, n=3)
+        # a fourth state that b does not reach
+        A, N = (np.block([[M, np.zeros((3, 1))], [np.zeros((1, 3)), x]])
+                for M, x in ((t.A, 0.5), (t.N, 2.0)))
+        padded = FourTuple(A, N, [*t.b, 0.0], [*t.c, 3.0])
+        same = conjugate(t, _conditioned(np.random.default_rng(6), 3))
+        for pair in [(t, same), (t, padded), (padded, t)]:
+            built.clear()
+            assert io_equivalent(*pair) == (True, None)
+            assert len(built) == pair[0].n + pair[1].n
 
     def test_stacked_unit_matches_one_call_per_item(self):
         # each item bitwise as its own _unit call, zero items as they are,

@@ -35,12 +35,13 @@ be timed on the same items. It prints:
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
 
-With --against BASE, it times the identify round and its layers on TREE
-and on BASE instead, both imported in this one process under distinct
-package names (as bench/workloads.py is, once for each), in R rounds
-(default 20) whose order alternates between the trees, and prints for each
-the median over rounds of TREE's time over BASE's: on a noisy host, a
-ratio taken within one round sees one machine state.
+With --against BASE, it times the identify round and its layers, and each
+equivalence verdict by n, on TREE and on BASE instead, both imported in
+this one process under distinct package names (as bench/workloads.py is,
+once for each), in R rounds (default 20) whose order alternates between
+the trees, and prints for each the median over rounds of TREE's time over
+BASE's, and for each verdict over all n its quartiles too: on a noisy
+host, a ratio taken within one round sees one machine state.
 """
 
 import os
@@ -62,6 +63,9 @@ SEED, REPS, REPEATS = 1, 300, 5
 LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent",
           "_self_dual", "_c_tests")
 IDENTIFY_LAYERS = ("identify", "_logm_flows", "certificate")
+EQUIVALENCE = {"equivalent": "io_equivalent (conjugate)",
+               "twin": "io_equivalent (twin)", "canonical": "is_canonical",
+               "similarity": "similarity_between"}
 
 
 def best_us(calls, reps):
@@ -181,37 +185,63 @@ def load_tree(tree, name):
     return sys.modules[f"{name}.identify"], work
 
 
+def equivalence_calls(workloads):
+    """The equivalence workload's ops over its items, grouped by (verdict,
+    n) with the verdicts labelled as in EQUIVALENCE."""
+    work = workloads.Equivalence()
+    groups = {}
+    for item in work.generate(workloads.rng_for(work.name, SEED)):
+        groups.setdefault((EQUIVALENCE[item[0]], item[1].n), []).append(
+            lambda item=item: work.run(item))
+    return groups
+
+
 def interleaved(tree, base, rounds):
     """The median over rounds of TREE's time over BASE's for the identify
-    round and each of its layers, the two trees taking turns to go first."""
+    round and each of its layers, and for each equivalence verdict by n,
+    the two trees taking turns to go first."""
     sys.path[:0] = [str(HERE / "tests"), str(HERE / "bench")]
     calls = []
     for path, name in ((tree, "bilinid_tree"), (base, "bilinid_base")):
         module, workloads = load_tree(path, name)
         work = workloads.Identify()
         items = work.generate(workloads.rng_for(work.name, SEED))
-        calls.append(identify_calls(module, work, items))
+        calls.append({**identify_calls(module, work, items),
+                      **equivalence_calls(workloads)})
         print(f"{name}: {Path(module.__file__).parent}")
     reps = {"identify": REPS // 30, "_logm_flows": REPS // 10,
             "certificate": REPS // 10}
-    ratios = {layer: [] for layer in IDENTIFY_LAYERS}
+    took = {key: ([], []) for key in calls[0]}
     clock = time.perf_counter
     for r in range(rounds):
-        for layer in IDENTIFY_LAYERS:
-            took = [0.0, 0.0]
+        for key, times in took.items():
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):
                 start = clock()
-                for _ in range(reps[layer]):
-                    for call in calls[i][layer]:
+                for _ in range(reps.get(key, REPS // 12)):
+                    for call in calls[i][key]:
                         call()
-                took[i] = clock() - start
-            ratios[layer].append(took[0] / took[1])
-    print(f"median of {rounds} per-round ratios, tree / base (identify "
-          f"items, seed {SEED}); quartiles in brackets")
-    for layer, values in ratios.items():
-        q1, q2, q3 = statistics.quantiles(values, n=4)
+                times[i].append(clock() - start)
+
+    def quartiles(keys):
+        """Quartiles over rounds of TREE's time over BASE's, summed over
+        keys."""
+        return statistics.quantiles(
+            [sum(took[k][0][r] for k in keys) / sum(took[k][1][r] for k in keys)
+             for r in range(rounds)], n=4)
+    print(f"median of {rounds} per-round ratios, tree / base (seed {SEED}); "
+          f"quartiles in brackets")
+    for layer in IDENTIFY_LAYERS:
+        q1, q2, q3 = quartiles([layer])
         print(f"{q2:9.3f}x  {layer} [{q1:.3f}-{q3:.3f}] "
               f"({len(calls[0][layer])} calls per pass)")
+    sizes = sorted({key[1] for key in took if isinstance(key, tuple)})
+    print(f"{'equivalence, by n':26}" + "".join(f"{f'n={n}':>8}" for n in sizes)
+          + "     all n")
+    for label in EQUIVALENCE.values():
+        q1, q2, q3 = quartiles([(label, n) for n in sizes])
+        print(f"{label:26}" + "".join(
+            f"{quartiles([(label, n)])[1]:7.3f}x" for n in sizes)
+            + f"  {q2:.3f}x [{q1:.3f}-{q3:.3f}]")
 
 
 def main(argv=None):
@@ -266,22 +296,14 @@ def main(argv=None):
     us = best_us(sampled, REPS // 10)
     print(f"{us:9.1f} µs/call  bilinid.sample_discrete ({len(items)} trains)")
 
-    work = workloads.Equivalence()
-    items = work.generate(workloads.rng_for(work.name, SEED))
-    labels = {"equivalent": "io_equivalent (conjugate)",
-              "twin": "io_equivalent (twin)", "canonical": "is_canonical",
-              "similarity": "similarity_between"}
-    groups = {}
-    for item in items:
-        groups.setdefault(item[0], {}).setdefault(item[1].n, []).append(
-            lambda item=item: work.run(item))
-    sizes = sorted(groups["canonical"])
+    groups = equivalence_calls(workloads)
+    sizes = sorted({n for _, n in groups})
     print(f"µs/call by n over the equivalence items "
-          f"({len(items) // len(labels) // len(sizes)} per kind and n)")
+          f"({len(groups[EQUIVALENCE['canonical'], sizes[0]])} per kind and n)")
     print(f"{'':26}" + "".join(f"{f'n={n}':>9}" for n in sizes))
-    for kind, label in labels.items():
+    for label in EQUIVALENCE.values():
         print(f"{label:26}" + "".join(
-            f"{best_us(groups[kind][n], REPS // 3):9.1f}" for n in sizes))
+            f"{best_us(groups[label, n], REPS // 3):9.1f}" for n in sizes))
 
     work = workloads.Identify()
     items = work.generate(workloads.rng_for(work.name, SEED))
