@@ -78,6 +78,10 @@ def validate(t: FourTuple) -> None:
         raise ShapeMismatch("state dimension must be positive")
     if t.kind not in KINDS:
         raise ShapeMismatch(f"kind must be one of {KINDS}, got {t.kind!r}")
+    # one finite pass over all four arrays; only when it fails is each
+    # array checked on its own, to name the first that holds the entry
+    finite = np.isfinite(np.concatenate(
+        [t.A.ravel(), t.N.ravel(), t.b.ravel(), t.c.ravel()])).all()
     for name, arr, shape in (
         ("A", t.A, (n, n)),
         ("N", t.N, (n, n)),
@@ -86,7 +90,7 @@ def validate(t: FourTuple) -> None:
     ):
         if arr.shape != shape:
             raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
-        if not np.isfinite(arr).all():
+        if not (finite or np.isfinite(arr).all()):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
 
 
@@ -112,11 +116,11 @@ class PiecewiseConstantInput:
             )
         if bp.shape[0] == 0:
             raise ShapeMismatch("at least one interval is required")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(lv))):
+        if not (np.isfinite(bp).all() and np.isfinite(lv).all()):
             raise NonFiniteEntry("input contains a non-finite entry")
         if bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if np.any(np.diff(bp) <= 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not self.horizon > bp[-1]:
             raise ValueError("horizon must exceed the last breakpoint")

@@ -18,8 +18,10 @@ Classes (all decided by rank/residual tests at runtime):
            canonical with a nonreal conjugate eigenvalue pair.
 
 Every linear rank above comes from realization._linear, whose Krylov
-matrices are pre-scaled by ||A||, so no flag depends on the time unit;
-M and B_alpha share one build of (A + alpha N, b, c).
+matrices are pre-scaled by ||A||, so no flag depends on the time unit.
+One Krylov build per seed: classify takes A, A - N and A + alpha N from
+one build (_g0_T), single_pulse_pair takes A and A - N, and in_b_alpha
+and sampled_pair take one build of (A + alpha N, b, c) for B_alpha.
 
 The twin of N is M = T N' T^{-1}. It satisfies
 c (A+g N)^k b = c (A+g M)^k b for every scalar g and power k, which is what
@@ -62,41 +64,51 @@ class ClassMembership:
     diagnostics: dict
 
 
-def _g0_T(t, tol, diag):
+def _g0_T(t, tol, diag, *others):
     """The G0 test: the self-dual transform T of t's linear triple when t
-    lies in G0, else None. Records the linear ranks and, for a canonical
-    triple, the twin obstruction ||NT - TN'|| / ||T|| ||N|| in diag; t lies
-    in G0 exactly when that obstruction exceeds residual_tol (N = 0 reads
-    0, so it never does)."""
-    T, diag["reach_rank"], diag["obs_rank"] = _self_dual(t.A, t.b, t.c, tol)
+    lies in G0, else None; and the ranks [reach, obs] of the linear triple
+    (G, b, c) of each G of others, from the same one _linear build. Records
+    the linear ranks and, for a canonical triple, the twin obstruction
+    ||NT - TN'|| / ||T|| ||N|| in diag; t lies in G0 exactly when that
+    obstruction exceeds residual_tol (N = 0 reads 0, so it never does)."""
+    K, ranks = _linear([t.A, *others], t.b, t.c, tol)
+    diag["reach_rank"], diag["obs_rank"] = ranks[0]
+    T = _self_dual(K[0], ranks[0])
     if T is None:
-        return None
+        return None, ranks[1:]
     diag["twin_obstruction"] = float(np.linalg.norm(t.N @ T - T @ t.N.T) / (
         np.linalg.norm(T) * np.linalg.norm(t.N) or 1.0))
-    return T if diag["twin_obstruction"] > tol.residual_tol else None
+    return (T if diag["twin_obstruction"] > tol.residual_tol else None,
+            ranks[1:])
 
 
-def _c_tests(t, tol, diag):
-    """The tests class C adds to G0: (Q - N, b0, c) canonical and e^Q - I
-    invertible. Records the shifted ranks and the eigenvalue gap
-    min |e^lam - 1| in diag. A lam with real part past 700 is read as 700
-    (np.minimum orders complex numbers by real part first), so e^lam is
-    never formed past the float range: |e^lam - 1| >= e^Re(lam) - 1, so
-    such a lam still gives a gap of at least 1e304."""
-    ranks, = _linear([t.A - t.N], t.b, t.c, tol)[1]
+def _c_tests(t, ranks, tol, diag):
+    """The tests class C adds to G0: (Q - N, b0, c) canonical, from its
+    ranks (the build of _g0_T), and e^Q - I invertible. Records the
+    shifted ranks and the eigenvalue gap min |e^lam - 1| in diag. A lam
+    with real part past 700 is read as 700 (np.minimum orders complex
+    numbers by real part first), so e^lam is never formed past the float
+    range: |e^lam - 1| >= e^Re(lam) - 1, so such a lam still gives a gap of
+    at least 1e304."""
     diag["shifted_reach_rank"], diag["shifted_obs_rank"] = ranks
     e = np.exp(np.minimum(eigenvalues(t.A), 700.0))
     diag["expQ_unit_eigen_gap"] = gap = float(np.min(np.abs(e - 1.0)))
     return ranks == [t.n, t.n] and gap > tol.residual_tol
 
 
-def _pulse_level(t, alpha, tol):
-    """G = A + alpha N and the [reach, obs] ranks of the linear triple
-    (G, b, c): the one build that the M and B_alpha tests share. Raises
-    NonFiniteEntry for an amplitude alpha that is not finite."""
+def _pulse_G(t, alpha):
+    """G = A + alpha N. Raises NonFiniteEntry for an amplitude alpha that
+    is not finite."""
     if not abs(alpha) < math.inf:    # NaN fails too
         raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
-    G = t.A + alpha * t.N
+    return t.A + alpha * t.N
+
+
+def _pulse_level(t, alpha, tol):
+    """G = A + alpha N and the [reach, obs] ranks of the linear triple
+    (G, b, c), from one build, for the B_alpha test alone. Raises
+    NonFiniteEntry for an amplitude alpha that is not finite."""
+    G = _pulse_G(t, alpha)
     return G, _linear([G], t.b, t.c, tol)[1][0]
 
 
@@ -105,11 +117,14 @@ def classify(t: FourTuple, alpha: float = 1.0,
     """Membership flags for G0, C, M(alpha) and, when n = 2, B_alpha. Runs
     every test; the pair constructors and twin_via_T run only the G0 test
     (_g0_T) and, for a single-pulse seed, the tests C adds (_c_tests).
-    Raises NonFiniteEntry for an amplitude alpha that is not finite."""
-    G, ranks = _pulse_level(t, alpha, tol)
+    The linear triples at A, A - N and A + alpha N come from one Krylov
+    build (_g0_T). Raises NonFiniteEntry for an amplitude alpha that is
+    not finite, before any work."""
+    G = _pulse_G(t, alpha)
     diag = {}
-    in_g0 = _g0_T(t, tol, diag) is not None
-    in_c = in_g0 and _c_tests(t, tol, diag)
+    T, (shifted, ranks) = _g0_T(t, tol, diag, t.A - t.N, G)
+    in_g0 = T is not None
+    in_c = in_g0 and _c_tests(t, shifted, tol, diag)
 
     diag["alpha_reach_rank"] = ranks[0]
     in_m = diag["reach_rank"] == diag["obs_rank"] == ranks[0] == t.n
@@ -146,7 +161,7 @@ def twin_via_T(t: FourTuple, tol: Tolerances = DEFAULT_TOL) -> FourTuple:
     """Replace N by its twin M = T N' T^{-1}. Requires t in G0, and runs
     only the G0 test, whose T gives the twin; the result is again in G0,
     differs from t, and matches it on every coefficient c (A + g N)^k b."""
-    T = _g0_T(t, tol, {})
+    T, _ = _g0_T(t, tol, {})
     if T is None:
         raise NotInG0("twin construction requires membership in G0")
     return FourTuple(t.A, _twin(T, t.N), t.b, t.c, t.kind)
@@ -180,11 +195,20 @@ def psi(Q, N, b0, c, kind: str = TYPE_I) -> FourTuple:
 
 
 def _check_pulse(tau, alpha):
-    """Raise DegenerateRescale unless tau > 0 and alpha is finite and not
-    0: the guard of rescale, single_pulse_pair and sampled_pair, written so
-    that NaN fails it."""
-    if not (tau > 0 and 0 < abs(alpha) < math.inf):
-        raise DegenerateRescale("need tau > 0 and a finite alpha != 0")
+    """Raise DegenerateRescale unless tau is finite and > 0 and alpha is
+    finite and not 0: the guard of rescale, single_pulse_pair and
+    sampled_pair, written so that NaN fails it."""
+    if not (0 < tau < math.inf and 0 < abs(alpha) < math.inf):
+        raise DegenerateRescale("need a finite tau > 0 and a finite "
+                                "alpha != 0")
+
+
+def _check_family(tau, alpha):
+    """Raise DegenerateRescale unless tau is finite and >= 0 and alpha is
+    finite: the guard of pulse_family_pair and distinguishing_search,
+    written so that NaN fails it."""
+    if not (0 <= tau < math.inf and abs(alpha) < math.inf):
+        raise DegenerateRescale("need a finite tau >= 0 and a finite alpha")
 
 
 def rescale(t: FourTuple, tau: float, alpha: float) -> FourTuple:
@@ -201,8 +225,10 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     u = alpha on [0, tau), 0 after, although they are not i/o equivalent.
 
     The seed (Q, N, b0, c) must lie in class C. Only the G0 test and the
-    tests C adds to it run, not classify's M and B_alpha tests. Each
-    member is built once, by psi's rule and rescale's rule in one step:
+    tests C adds to it run, not classify's M and B_alpha tests, and both
+    take their linear ranks from one Krylov build of (Q, b0, c) and
+    (Q - N, b0, c) (_g0_T). Each member is built once, by psi's rule and
+    rescale's rule in one step:
     sigma = rescale(psi(seed), tau, alpha), and the partner is the same
     with N replaced by the twin M taken at (Q, b0, c) from the T of the G0
     test (rho(Q) psi(seed).b = det(rho(Q)) b0, and the twin does not
@@ -214,8 +240,8 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
     single pulse of another width of distinguishing_search (None when no
     width separates)."""
     _check_pulse(tau, alpha)
-    T = _g0_T(seed, tol, {})
-    if T is None or not _c_tests(seed, tol, {}):
+    T, (shifted,) = _g0_T(seed, tol, {}, seed.A - seed.N)
+    if T is None or not _c_tests(seed, shifted, tol, {}):
         raise NotInC("seed must lie in class C")
     Q, N, c = seed.A, seed.N, seed.c
     b, M = _psi_b(Q, seed.b), _twin(T, N)
@@ -227,12 +253,19 @@ def single_pulse_pair(seed: FourTuple, tau: float, alpha: float,
                  residual, u if gap > tol.agree_tol else None, tol)
 
 
+# the multiples of delta = s/100 nearest 32 points of [s/8, 4s], in steps,
+# and the same without tau (100 steps)
+_WIDTHS = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)
+_WIDTHS_BUT_TAU = _WIDTHS[_WIDTHS != 100]
+_WIDTHS.flags.writeable = _WIDTHS_BUT_TAU.flags.writeable = False
+
+
 def _witness_widths(tau):
     """The pulse widths distinguishing_search scans, in steps of
     delta = s/100: the multiples nearest 32 points of [s/8, 4s], leaving
-    out tau (100 steps)."""
-    k = np.rint(np.linspace(12.5, 400.0, 32)).astype(int)
-    return k[k != 100] if tau else k
+    out tau (100 steps). One of two read-only constants, the same arrays
+    on every call."""
+    return _WIDTHS_BUT_TAU if tau else _WIDTHS
 
 
 def _pulse_certificates(s1, s2, tau, alpha, betas=None):
@@ -270,7 +303,9 @@ def distinguishing_search(pair: CounterexamplePair, tau: float, alpha: float,
     the difference system (_pulse_certificates), with no march, covers
     every width; no agreement residual is computed. Raises
     NoDistinguisherFound when no width separates the pair by more than
-    agree_tol."""
+    agree_tol, and DegenerateRescale, before any work, unless tau is
+    finite and >= 0 and alpha finite (pulse_family_pair's guard)."""
+    _check_family(tau, alpha)
     _, u, gap = _pulse_certificates(pair.sigma, pair.sigma_hat, tau, alpha)
     if gap <= tol.agree_tol:
         raise NoDistinguisherFound(f"largest discrepancy {gap:.3e} over "
@@ -311,11 +346,10 @@ def pulse_family_pair(seed: FourTuple, tau: float, alpha: float,
     Kind II is the native setting; kind I is available for tau = 0 only
     (the constant response of a kind-I system is the integral of the
     kind-II one, so agreement transfers)."""
-    if not (tau >= 0 and abs(alpha) < math.inf):    # NaN fails too
-        raise DegenerateRescale("need tau >= 0 and a finite alpha")
+    _check_family(tau, alpha)
     if kind == TYPE_I and tau != 0:
         raise ValueError("kind-I pairs exist only for tau = 0 (constants)")
-    T = _g0_T(seed, tol, {})
+    T, _ = _g0_T(seed, tol, {})
     if T is None:
         raise NotInG0("seed must lie in G0")
     P, N, b0, c = seed.A, seed.N, seed.b, seed.c

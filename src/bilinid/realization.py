@@ -370,24 +370,25 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     return witness
 
 
-def _self_dual(A, b, c, tol):
-    """(T, reach rank, obs rank) of the linear triple (A, b, c) from
-    _linear's pre-scaled R and O, which leave T as it is; T is the
-    self-dual transform, or None unless both ranks are full."""
-    ((Rt, O),), ((r, o),) = _linear([A], b, c, tol)
-    if min(r, o) < len(O):
-        return None, r, o
+def _self_dual(K, ranks):
+    """The self-dual transform T of a linear triple from one member of a
+    _linear build: its K = (R', O), pre-scaled, which leaves T as it is,
+    and its ranks [reach, obs]; None unless both ranks are full."""
+    Rt, O = K
+    if min(ranks) < len(O):
+        return None
     # T O' = R, i.e. O T' = R', and T is symmetric anyway
-    return np.linalg.solve(O, Rt).T, r, o
+    return np.linalg.solve(O, Rt).T
 
 
 def self_dual_T(A, b, c, tol: Tolerances = DEFAULT_TOL):
     """The similarity between the linear triple (A, b, c) and its dual
     (A', c', b'): T = R(A,b) [(O(A,c))']^{-1}, satisfying A T = T A',
     b = T c', c T = b'. T is symmetric. Requires R and O invertible."""
-    T, r_reach, r_obs = _self_dual(A, b, c, tol)
+    (K,), (ranks,) = _linear([A], b, c, tol)
+    T = _self_dual(K, ranks)
     if T is None:
-        raise NotCanonicalTriple(f"linear triple has ranks ({r_reach}, "
-                                 f"{r_obs}), need {np.size(b)}")
+        raise NotCanonicalTriple(f"linear triple has ranks ({ranks[0]}, "
+                                 f"{ranks[1]}), need {np.size(b)}")
     return T
 

@@ -30,14 +30,15 @@ A pulse of amplitude alpha followed by the level 0, on a uniform grid,
 needs no march at all: every such output is c F^i E^j z0 for the one-step
 maps E (level alpha) and F (level 0), read from one table (_power_table).
 _pulse_peaks reduces the table to the largest output of each pulse width
-in one pass: one row of products Z_k R_m' per width k, the rows past the
-table's end set to 0, and one maximum along each row. The counterexample
-pairs read their pulse of another width and their pulse-end state from
-the table; whether a pair agrees is not read from outputs at all, but
-decided by realization._moment_gap. The table is filled by repeated
-squaring, not one step at a time: rows p .. 2p-1 are rows 0 .. p-1 times
-the p-th power of the maps. A state that leaves the representable range
-raises Overflow instead of giving outputs.
+in one pass: one row of products Z_k R_m' per width k, and one segmented
+maximum (np.maximum.reduceat) that reads each row only up to the table's
+end, len(Z) - k products. The counterexample pairs read their pulse of
+another width and their pulse-end state from the table; whether a pair
+agrees is not read from outputs at all, but decided by
+realization._moment_gap. The table is filled by repeated squaring, not
+one step at a time: rows p .. 2p-1 are rows 0 .. p-1 times the p-th power
+of the maps. A state that leaves the representable range raises Overflow
+instead of giving outputs.
 """
 
 import numpy as np
@@ -174,15 +175,22 @@ def _pulse_peaks(Z, R, k):
     width k[i] delta (k an integer array) followed by the level 0: the
     running maximum of |c Z_j| while the pulse lasts (c = R_0; none for
     width 0), against the largest |Z_k R_m'| over the len(Z) - k rows
-    after it, one row of products per width with the rows past the table
-    set to 0."""
+    after it: one row of products per width, and one segmented maximum
+    that reads each row from its start to len(Z) - k[i]."""
     front = np.maximum.accumulate(np.abs(np.append(0.0, R[0] @ Z.T)))
     tail = Z[k] @ R.T
     # in place: a second table-sized temporary would make malloc return
     # the freed heap top to the system after each call, and fault it back
     np.abs(tail, out=tail)
-    tail[np.arange(len(Z)) >= len(Z) - k[:, None]] = 0.0
-    return np.maximum(front[k], tail.max(axis=1))
+    # segment 2i is row i's tail and 2i + 1 its products past the table's
+    # end; reduceat runs its last segment to the array's end, so a cut
+    # there (k = 0 in the last row) is left out: given, it raises
+    # IndexError
+    cuts = np.repeat(np.arange(0, tail.size, len(Z)), 2)
+    cuts[1::2] += len(Z) - k
+    if cuts[-1] == tail.size:
+        cuts = cuts[:-1]
+    return np.maximum(front[k], np.maximum.reduceat(tail.ravel(), cuts)[::2])
 
 
 def sample_discrete(t: FourTuple, tau: float, u_seq):

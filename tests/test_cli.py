@@ -253,6 +253,16 @@ class TestCounterexample:
         assert json.loads(out)["error"] == "DegenerateRescale"
         assert err == ""
 
+    @pytest.mark.parametrize("cls", ["single-pulse", "pulse-family",
+                                     "sampled"])
+    def test_infinite_period_is_degenerate_rescale(self, capsys, cls):
+        # inf > 0 holds, so the guard must ask for a finite tau as well
+        code, out, err = _run(capsys, "counterexample", "--class", cls,
+                              "--tau", "inf", "--rng-seed", "5")
+        assert code == 2
+        assert json.loads(out)["error"] == "DegenerateRescale"
+        assert err == ""
+
     def test_bad_seed_is_domain_error(self, capsys, shift_file):
         # the shift pair is not in class C, so seeding fails downstream
         code, out, _ = _run(capsys, "counterexample", "--class",

@@ -263,6 +263,97 @@ class TestConstructorsDecideOnce:
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+class TestOneKrylovBuildPerSeed:
+    """A seed's linear-triple tests share one realization._linear build:
+    one _krylov recursion over the stack of every A they test, and that
+    build is bitwise one build per matrix."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        """The stack size of each _krylov call from now on."""
+        builds = []
+        build = realization._krylov
+
+        def spy(*args):
+            builds.append(len(args[0]))
+            return build(*args)
+        monkeypatch.setattr(realization, "_krylov", spy)
+        return builds
+
+    def test_one_build_per_seed(self, monkeypatch):
+        c_seed = _c_seed(42)
+        g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
+                                  scale=0.4)
+        builds = self._builds(monkeypatch)
+        for make, stack in ((lambda: single_pulse_pair(c_seed, 2.0, 0.5), 2),
+                            (lambda: classify(c_seed, 0.5), 3),
+                            (lambda: classify(gaussian_tuple(
+                                3, np.random.default_rng(0))), 3),
+                            (lambda: pulse_family_pair(g0_seed, 1.0, 1.0), 1),
+                            (lambda: twin_via_T(c_seed), 1)):
+            builds.clear()
+            make()
+            assert builds == [stack]
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_amplitude_raises_before_the_build(self, alpha,
+                                                          monkeypatch):
+        seed = _c_seed(42)
+        builds = self._builds(monkeypatch)
+        with pytest.raises(NonFiniteEntry, match="amplitude"):
+            classify(seed, alpha)
+        assert builds == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagnostics_equal_one_build_per_matrix(self, n, monkeypatch):
+        linear = realization._linear
+
+        def one_per_matrix(As, b, c, tol):
+            builds = [linear([A], b, c, tol) for A in As]
+            return (np.concatenate([K for K, _ in builds]),
+                    [ranks for _, (ranks,) in builds])
+
+        rng = np.random.default_rng(300 + n)
+        seen = set()
+        for scale, alpha in ((0.4, 1.0), (1.0, -0.5), (1.0, 2.0)):
+            for t in _members_and_not(n, scale, rng):
+                got = classify(t, alpha)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(counterex, "_linear", one_per_matrix)
+                    want = classify(t, alpha)
+                seen.add((got.in_G0, got.in_C))
+                assert (got.in_G0, got.in_C, got.in_M, got.in_B_alpha) == (
+                    want.in_G0, want.in_C, want.in_M, want.in_B_alpha)
+                assert list(got.diagnostics.items()) == \
+                    list(want.diagnostics.items())
+        assert seen == {(True, True), (True, False), (False, False)}
+
+
+class TestPulseGuards:
+    """tau must be finite: the pulse constructors need tau > 0, the family
+    and distinguishing_search tau >= 0, and each raises DegenerateRescale
+    before any work."""
+
+    def test_infinite_period_is_degenerate(self):
+        c_seed = _c_seed(42)
+        g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II)
+        b_seed, _ = sample_in_B_alpha(1.0, np.random.default_rng(5))
+        for call in (lambda: rescale(c_seed, np.inf, 1.0),
+                     lambda: single_pulse_pair(c_seed, np.inf, 1.0),
+                     lambda: sampled_pair(b_seed, np.inf, 1.0),
+                     lambda: pulse_family_pair(g0_seed, np.inf, 1.0)):
+            with pytest.raises(DegenerateRescale, match="finite tau"):
+                call()
+
+    @pytest.mark.parametrize("tau, alpha", [(np.inf, 1.0), (-1.0, 1.0),
+                                            (np.nan, 1.0), (1.0, np.nan)])
+    def test_search_takes_the_family_guard(self, tau, alpha, monkeypatch):
+        pair = single_pulse_pair(_c_seed(42), 1.0, 1.0)
+        monkeypatch.setattr(counterex, "_power_table", None)    # no table
+        with pytest.raises(DegenerateRescale, match="finite tau >= 0"):
+            distinguishing_search(pair, tau, alpha)
+
+
 def _near_B(ratio, tol):
     """A tuple whose N = N0 + eps E has twin obstruction ratio times
     residual_tol: N0 = T S with S symmetric lies in B(T) (N0 T = T S T =
@@ -603,6 +694,20 @@ class TestDistinguishingSearch:
         scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
         assert np.max(np.abs(y1 - y2)) <= 1e-11 * scale
         assert pair.agreement_residual <= 1e-10
+
+    @pytest.mark.parametrize("k", [[0], [39], [0, 1, 39], [17, 3, 39, 0, 8],
+                                   [5, 0]],
+                             ids=["0", "last", "both-ends", "unsorted",
+                                  "0-in-last-row"])
+    def test_peak_scan_reads_each_width_to_the_table_end(self, k):
+        # each width's tail is one segment, from its row's start to
+        # len(Z) - k; k = 0 in the last row ends it at the array's end,
+        # where a bare np.maximum.reduceat raises IndexError
+        rng = np.random.default_rng(29)
+        Z, R = rng.standard_normal((2, 40, 4))
+        k = np.array(k)
+        assert np.array_equal(_pulse_peaks(Z, R, k),
+                              np.max(np.abs(_width_table(Z, R, k)), axis=1))
 
     @pytest.mark.parametrize("tau", [1e-3, 2000.0])
     def test_family_table_size_does_not_follow_tau(self, tau, monkeypatch):

@@ -12,8 +12,9 @@ the item generator from this tree's bench/workloads.py, so two trees can
 be timed on the same items. It prints:
 
 - µs per call of _power_table, _pulse_peaks, _moment_gap, io_equivalent
-  and the linear-triple tests _self_dual (the G0 test's) and _c_tests over
-  the single-pulse and pulse-family items (the "pulse ops"), each call
+  and the linear-triple tests: _linear (the seed's one Krylov build),
+  _self_dual (the G0 test's T from that build) and _c_tests, over the
+  single-pulse and pulse-family items (the "pulse ops"), each call
   replayed with the arguments the pair constructor passed when it built
   that item's pair;
 - pairs per second for each class: single-pulse, pulse-family, constants
@@ -35,13 +36,15 @@ be timed on the same items. It prints:
 Each figure is the best of REPEATS timings of REPS passes over the items,
 so it reads the machine when it is least disturbed.
 
-With --against BASE, it times the identify round and its layers, and each
-equivalence verdict by n, on TREE and on BASE instead, both imported in
-this one process under distinct package names (as bench/workloads.py is,
-once for each), in R rounds (default 20) whose order alternates between
-the trees, and prints for each the median over rounds of TREE's time over
-BASE's, and for each verdict over all n its quartiles too: on a noisy
-host, a ratio taken within one round sees one machine state.
+With --against BASE, it times the identify round and its layers, each
+equivalence verdict by n, and each pair class of the pulse-pairs items, on
+TREE and on BASE instead, both imported in this one process under
+distinct package names (as bench/workloads.py is, once for each), in R
+rounds (default 20) whose order alternates between the trees, and prints
+for each the median over rounds of TREE's time over BASE's, with its
+quartiles for each identify layer, each verdict over all n, each pair
+class and all pair classes together: on a noisy host, a ratio taken
+within one round sees one machine state.
 """
 
 import os
@@ -61,11 +64,12 @@ import numpy as np
 HERE = Path(__file__).resolve().parent.parent
 SEED, REPS, REPEATS = 1, 300, 5
 LAYERS = ("_power_table", "_pulse_peaks", "_moment_gap", "io_equivalent",
-          "_self_dual", "_c_tests")
+          "_linear", "_self_dual", "_c_tests")
 IDENTIFY_LAYERS = ("identify", "_logm_flows", "certificate")
 EQUIVALENCE = {"equivalent": "io_equivalent (conjugate)",
                "twin": "io_equivalent (twin)", "canonical": "is_canonical",
                "similarity": "similarity_between"}
+PAIR_CLASSES = ("single-pulse", "pulse-family", "constants", "sampled")
 
 
 def best_us(calls, reps):
@@ -196,10 +200,23 @@ def equivalence_calls(workloads):
     return groups
 
 
+def pair_calls(workloads):
+    """The pulse-pairs workload's ops over its items, grouped by pair
+    class (PAIR_CLASSES)."""
+    work = workloads.PulsePairs()
+    groups = {label: [] for label in PAIR_CLASSES}
+    for item in work.generate(workloads.rng_for(work.name, SEED)):
+        kind, _, tau, _ = item
+        label = {"single": "single-pulse", "sampled": "sampled"}.get(
+            kind, "pulse-family" if tau else "constants")
+        groups[label].append(lambda item=item: work.run(item))
+    return groups
+
+
 def interleaved(tree, base, rounds):
     """The median over rounds of TREE's time over BASE's for the identify
-    round and each of its layers, and for each equivalence verdict by n,
-    the two trees taking turns to go first."""
+    round and each of its layers, for each equivalence verdict by n and for
+    each pair class, the two trees taking turns to go first."""
     sys.path[:0] = [str(HERE / "tests"), str(HERE / "bench")]
     calls = []
     for path, name in ((tree, "bilinid_tree"), (base, "bilinid_base")):
@@ -207,7 +224,8 @@ def interleaved(tree, base, rounds):
         work = workloads.Identify()
         items = work.generate(workloads.rng_for(work.name, SEED))
         calls.append({**identify_calls(module, work, items),
-                      **equivalence_calls(workloads)})
+                      **equivalence_calls(workloads),
+                      **pair_calls(workloads)})
         print(f"{name}: {Path(module.__file__).parent}")
     reps = {"identify": REPS // 30, "_logm_flows": REPS // 10,
             "certificate": REPS // 10}
@@ -242,6 +260,11 @@ def interleaved(tree, base, rounds):
         print(f"{label:26}" + "".join(
             f"{quartiles([(label, n)])[1]:7.3f}x" for n in sizes)
             + f"  {q2:.3f}x [{q1:.3f}-{q3:.3f}]")
+    for label, keys in ([(c, [c]) for c in PAIR_CLASSES]
+                        + [("all pair classes", PAIR_CLASSES)]):
+        q1, q2, q3 = quartiles(keys)
+        print(f"{q2:9.3f}x  {label} [{q1:.3f}-{q3:.3f}] "
+              f"({sum(len(calls[0][k]) for k in keys)} per pass)")
 
 
 def main(argv=None):
@@ -271,14 +294,7 @@ def main(argv=None):
         print(f"{us:9.1f} µs/call  {fn.__module__}.{fn.__name__} "
               f"({len(calls)} calls)")
 
-    classes = {}
-    for item in items:
-        kind, _, tau, _ = item
-        label = {"single": "single-pulse", "sampled": "sampled"}.get(
-            kind, "pulse-family" if tau else "constants")
-        classes.setdefault(label, []).append(
-            lambda item=item: work.run(item))
-    for label, calls in classes.items():
+    for label, calls in pair_calls(workloads).items():
         us = best_us(calls, REPS // 10)
         print(f"{1e6 / us:9.0f} pairs/s  {label} ({len(calls)} per round)")
 
