@@ -52,6 +52,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, step, end = (float(p) for p in spec.split(":"))
     except ValueError:
         raise _UsageError(f"grid must be start:step:end, got {spec!r}")
+    if not np.isfinite([start, step, end]).all():
+        raise _UsageError("grid start, step and end must be finite")
     if step <= 0 or end < start:
         raise _UsageError("grid needs step > 0 and end >= start")
     k = int(round((end - start) / step))

@@ -94,6 +94,14 @@ def validate(t: FourTuple) -> None:
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
 
 
+def _same_kind(t1: FourTuple, t2: FourTuple) -> None:
+    """Raise ShapeMismatch unless t1 and t2 are of one kind: the two kinds
+    read the same arrays as different systems, so a pair of two kinds is
+    no pair to compare."""
+    if t1.kind != t2.kind:
+        raise ShapeMismatch("pair members must share the kind")
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstantInput:
     """u(t) = levels[i] on [breakpoints[i], breakpoints[i+1]), constant after
@@ -218,8 +226,7 @@ class CounterexamplePair:
     def __post_init__(self):
         if self.sigma.n != self.sigma_hat.n:
             raise ShapeMismatch("pair members must share the dimension")
-        if self.sigma.kind != self.sigma_hat.kind:
-            raise ShapeMismatch("pair members must share the kind")
+        _same_kind(self.sigma, self.sigma_hat)
         if self.distinguishing_word is None and self.distinguishing_input is None:
             raise ValueError("a pair requires at least one certificate")
 

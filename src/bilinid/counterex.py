@@ -98,16 +98,19 @@ def _c_tests(t, ranks, tol, diag):
 
 def _pulse_G(t, alpha):
     """G = A + alpha N. Raises NonFiniteEntry for an amplitude alpha that
-    is not finite."""
+    is not finite, and ValueError for alpha = 0, from which N = (G - A) /
+    alpha cannot be recovered."""
     if not abs(alpha) < math.inf:    # NaN fails too
         raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
+    if alpha == 0:
+        raise ValueError("pulse amplitude must be nonzero")
     return t.A + alpha * t.N
 
 
 def _pulse_level(t, alpha, tol):
     """G = A + alpha N and the [reach, obs] ranks of the linear triple
-    (G, b, c), from one build, for the B_alpha test alone. Raises
-    NonFiniteEntry for an amplitude alpha that is not finite."""
+    (G, b, c), from one build, for the B_alpha test alone. Raises as
+    _pulse_G does."""
     G = _pulse_G(t, alpha)
     return G, _linear([G], t.b, t.c, tol)[1][0]
 
@@ -119,7 +122,7 @@ def classify(t: FourTuple, alpha: float = 1.0,
     (_g0_T) and, for a single-pulse seed, the tests C adds (_c_tests).
     The linear triples at A, A - N and A + alpha N come from one Krylov
     build (_g0_T). Raises NonFiniteEntry for an amplitude alpha that is
-    not finite, before any work."""
+    not finite and ValueError for alpha = 0, before any work."""
     G = _pulse_G(t, alpha)
     diag = {}
     T, (shifted, ranks) = _g0_T(t, tol, diag, t.A - t.N, G)
@@ -145,7 +148,8 @@ def _in_b_alpha(G, ranks, tol, diag):
 def in_b_alpha(t: FourTuple, alpha: float,
                tol: Tolerances = DEFAULT_TOL) -> bool:
     """Strict B_alpha predicate; defined for n = 2 only. Raises
-    NonFiniteEntry for an amplitude alpha that is not finite."""
+    NonFiniteEntry for an amplitude alpha that is not finite and
+    ValueError for alpha = 0."""
     if t.n != 2:
         raise DimensionMismatch(f"B_alpha is defined for n=2, got n={t.n}")
     return _in_b_alpha(*_pulse_level(t, alpha, tol), tol, {})

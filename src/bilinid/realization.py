@@ -91,7 +91,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import FourTuple, SimilarityWitness
+from .core import FourTuple, SimilarityWitness, _same_kind
 from .errors import NotCanonical, NotCanonicalTriple, NotSimilar
 from .matfun import DEFAULT_TOL, Tolerances, _ranks, pinv_rank
 
@@ -258,7 +258,9 @@ def io_equivalent(t1: FourTuple, t2: FourTuple, tol: Tolerances = DEFAULT_TOL):
     n1 + n2 - 1, one length at a time on the word layers of the stacked pair
     (module docstring); no layer past the first differing length is built.
     Returns (equivalent, lex-first word of the first differing length or
-    None)."""
+    None). Raises ShapeMismatch for tuples of two kinds, before any
+    work."""
+    _same_kind(t1, t2)
     n1, n = t1.n, t1.n + t2.n
     (b1, c1), (b2, c2) = _balanced(t1), _balanced(t2)
     step = np.zeros((n, 2 * n))    # [A', N'] of (A1 (+) A2, N1 (+) N2)
@@ -338,7 +340,9 @@ def similarity_between(t1: FourTuple, t2: FourTuple,
     [b1; b2]) up to length n-1 satisfy top = T bottom, so
     T = top @ pinv(bottom). Both tuples must be canonical. Each residual
     is relative to the first tuple's own A, N, b or c. Raises NotSimilar
-    with the residual report when the relations fail."""
+    with the residual report when the relations fail, and ShapeMismatch
+    for tuples of two kinds, before any work."""
+    _same_kind(t1, t2)
     gaps = (_canonical_gap(t1, t2, tol=tol) if t1.n == t2.n else
             _canonical_gap(t1, tol=tol) + _canonical_gap(t2, tol=tol))
     for name, gap in zip(("first", "second"), gaps):

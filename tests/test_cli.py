@@ -82,6 +82,16 @@ class TestSimulate:
         assert code == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize("grid", ["0:0.1:inf", "nan:0.1:1", "0:nan:1",
+                                      "0:1:nan", "0:inf:1", "inf:1:inf"])
+    def test_non_finite_grid_is_usage_error(self, capsys, scalar_file, grid):
+        # an infinite end used to end in an OverflowError traceback
+        code, out, err = _run(capsys, "simulate", "--system", scalar_file,
+                              "--pulse", "1", "1", "0", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err == "bilinid: error: grid start, step and end must be finite\n"
+
     def test_overflow_exits_two(self, capsys, tmp_path):
         p = tmp_path / "fast.json"
         p.write_text(to_json(FourTuple([[200.0]], [[0.0]], [1.0], [1.0],
@@ -182,6 +192,26 @@ class TestChecks:
         doc = json.loads(out)
         assert doc["error"] == "NonFiniteEntry"
         assert "amplitude" in doc["message"]
+        assert err == ""
+
+    def test_classify_zero_amplitude_is_usage_error(self, capsys, shift_file):
+        # as identify --alpha 0: N cannot be recovered at alpha = 0
+        code, out, err = _run(capsys, "classify", "--system", shift_file,
+                              "--alpha", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "bilinid: error: pulse amplitude must be nonzero\n"
+
+    def test_pair_of_two_kinds_is_domain_error(self, capsys, tmp_path):
+        t = gaussian_tuple(2, np.random.default_rng(1))
+        paths = []
+        for kind in ("I", "II"):
+            paths.append(tmp_path / f"kind{kind}.json")
+            paths[-1].write_text(to_json(t.with_kind(kind)))
+        code, out, err = _run(capsys, "check-equiv", "--a", str(paths[0]),
+                              "--b", str(paths[1]))
+        assert code == 2
+        assert json.loads(out)["error"] == "ShapeMismatch"
         assert err == ""
 
     def test_tolerance_override(self, capsys, shift_file):

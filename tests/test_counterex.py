@@ -106,6 +106,22 @@ class TestClassify:
             with pytest.raises(NonFiniteEntry, match="amplitude"):
                 call()
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.0])
+    def test_zero_amplitude_is_rejected(self, alpha):
+        # N = (G - A) / alpha cannot be recovered at alpha = 0, so no
+        # tuple is in M(0) or B_0; oracle_from_tuple refuses it the same way
+        t2, t3 = ROTOR, gaussian_tuple(3, np.random.default_rng(0))
+        for call in (lambda: classify(t2, alpha), lambda: classify(t3, alpha),
+                     lambda: in_b_alpha(t2, alpha),
+                     lambda: sample_in_M(2, alpha, np.random.default_rng(0)),
+                     lambda: sample_in_B_alpha(alpha,
+                                               np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="nonzero"):
+                call()
+        # the pair constructor's own guard runs first
+        with pytest.raises(DegenerateRescale):
+            sampled_pair(t2, 1.0, alpha)
+
 
 class TestTwin:
     def test_shift_example(self):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilinid import (DEFAULT_TOL, TYPE_II, FourTuple, Tolerances, conjugate,
-                     io_equivalent, is_canonical, krylov, pulse_family_pair,
-                     sample_in_B_alpha, sample_in_C, sample_in_G0,
+                     gaussian_tuple, io_equivalent, is_canonical, krylov,
+                     pulse_family_pair, respond_pulse, sample_in_B_alpha, sample_in_C, sample_in_G0,
                      sampled_pair, self_dual_T, series_coefficient,
                      similarity_between, single_pulse_pair, twin_via_T)
 from bilinid.core import SimilarityWitness
-from bilinid.errors import NotCanonical, NotCanonicalTriple, NotSimilar
+from bilinid.errors import (NotCanonical, NotCanonicalTriple, NotSimilar,
+                            ShapeMismatch)
 from bilinid import realization
 from bilinid.matfun import rank_of
 from bilinid.realization import (_balanced, _canonical_gap, _difference,
@@ -291,6 +292,18 @@ class TestIoEquivalence:
         for w in earlier:
             assert brute_coefficient(t1, w) == pytest.approx(
                 brute_coefficient(t2, w), abs=1e-12)
+
+    def test_tuples_of_two_kinds_are_refused(self):
+        # the same arrays read as kinds I and II are different systems,
+        # so neither a verdict nor a witness may come back for the pair
+        t = gaussian_tuple(2, np.random.default_rng(1))
+        t2 = t.with_kind(TYPE_II)
+        y1, y2 = (respond_pulse(m, 1.0, 1.0, 0.0, [0.5]).outputs[0]
+                  for m in (t, t2))
+        assert abs(y1 - y2) > 0.03
+        for compare in (io_equivalent, similarity_between):
+            with pytest.raises(ShapeMismatch, match="kind"):
+                compare(t, t2)
 
     def test_conjugated_systems_are_equivalent(self):
         t = _random_tuple(11, n=3)
