@@ -4,9 +4,10 @@ Each criterion body draws its samples from its own seeded stream, judges
 every advertised bound through the recorder fail that it is handed, and
 returns a line of details with the worst observed values. The _criterion
 decorator is the one runner around every body: it times the body, hands it
-the stream and a fresh recorder, appends the first four failures to the
-details, and builds the CriterionResult; the criterion passes when nothing
-was recorded as failed.
+the stream and a fresh recorder, records a BilinError that the body raises
+as a failure, appends the first four failures to the details, and builds
+the CriterionResult; the criterion passes when nothing was recorded as
+failed.
 
 The recorder is the callable fail(msg), which records one failure; a
 yes/no check calls it directly. Every numeric bound goes through one of
@@ -89,13 +90,19 @@ class _Recorder:
 def _criterion(index: int, name: str, budget: float, label: str):
     """Make a criterion from body(rng, fail) -> details. The body draws from
     seeded_rng(ACCEPTANCE_SEED, label) and judges its bounds through the
-    recorder fail; the criterion passes when no failure is recorded, and
-    its details end with the first four failures otherwise."""
+    recorder fail; a BilinError that the body raises is recorded as one
+    more failure, so one criterion that raises does not hide the others'
+    lines. The criterion passes when no failure is recorded, and its
+    details end with the first four failures otherwise."""
     def wrap(body):
         def run() -> CriterionResult:
             start = time.perf_counter()
             fail = _Recorder()
-            details = body(seeded_rng(ACCEPTANCE_SEED, label), fail)
+            try:
+                details = body(seeded_rng(ACCEPTANCE_SEED, label), fail)
+            except BilinError as e:
+                details = "stopped by an error"
+                fail(f"raised {type(e).__name__}: {e}")
             if fail.failures:
                 details += "; FAILURES: " + "; ".join(fail.failures[:4])
             return CriterionResult(index, name, not fail.failures, details,

@@ -151,6 +151,17 @@ def pulse_input(tau: float, alpha: float, beta: float,
                                   np.array([alpha, beta]), horizon)
 
 
+def _amplitude(alpha):
+    """The pulse amplitude alpha, checked: NonFiniteEntry unless it is
+    finite (NaN fails too), and ValueError for alpha = 0, which is no
+    pulse, and from which N = (G - A) / alpha cannot be recovered."""
+    if not abs(alpha) < math.inf:
+        raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
+    if alpha == 0:
+        raise ValueError("pulse amplitude must be nonzero")
+    return alpha
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray

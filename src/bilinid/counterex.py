@@ -46,9 +46,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (TYPE_I, TYPE_II, CounterexamplePair, FourTuple, InputClass,
-                   PiecewiseConstantInput, constant_input, pulse_input)
-from .errors import (DegenerateRescale, DimensionMismatch, NoDistinguisherFound,
-                     NonFiniteEntry, NotInBalpha, NotInC, NotInG0, NoValidL)
+                   PiecewiseConstantInput, _amplitude, constant_input,
+                   pulse_input)
+from .errors import (DegenerateRescale, DimensionMismatch, NoAdmissibleDraw,
+                     NoDistinguisherFound, NotInBalpha, NotInC, NotInG0,
+                     NoValidL)
 from .matfun import DEFAULT_TOL, Tolerances, eigenvalues, expm, phi1
 from .realization import (_difference, _linear, _moment_gap, _self_dual,
                           io_equivalent)
@@ -96,22 +98,11 @@ def _c_tests(t, ranks, tol, diag):
     return ranks == [t.n, t.n] and gap > tol.residual_tol
 
 
-def _pulse_G(t, alpha):
-    """G = A + alpha N. Raises NonFiniteEntry for an amplitude alpha that
-    is not finite, and ValueError for alpha = 0, from which N = (G - A) /
-    alpha cannot be recovered."""
-    if not abs(alpha) < math.inf:    # NaN fails too
-        raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
-    if alpha == 0:
-        raise ValueError("pulse amplitude must be nonzero")
-    return t.A + alpha * t.N
-
-
 def _pulse_level(t, alpha, tol):
     """G = A + alpha N and the [reach, obs] ranks of the linear triple
     (G, b, c), from one build, for the B_alpha test alone. Raises as
-    _pulse_G does."""
-    G = _pulse_G(t, alpha)
+    core._amplitude does for an amplitude that is not finite or is 0."""
+    G = t.A + _amplitude(alpha) * t.N
     return G, _linear([G], t.b, t.c, tol)[1][0]
 
 
@@ -123,7 +114,7 @@ def classify(t: FourTuple, alpha: float = 1.0,
     The linear triples at A, A - N and A + alpha N come from one Krylov
     build (_g0_T). Raises NonFiniteEntry for an amplitude alpha that is
     not finite and ValueError for alpha = 0, before any work."""
-    G = _pulse_G(t, alpha)
+    G = t.A + _amplitude(alpha) * t.N
     diag = {}
     T, (shifted, ranks) = _g0_T(t, tol, diag, t.A - t.N, G)
     in_g0 = T is not None
@@ -394,12 +385,21 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     The certificates come from the difference system: the sampled
     agreement of _sampled_agreement, and the continuous separation from a
     power table at delta = 0.01, under u = alpha at the 301 points of
-    [0, 3].
+    [0, 3]. The pair separates when the largest output gap there exceeds
+    agree_tol times the larger member's largest output on the same points,
+    so the verdict does not move with the output scale; else
+    NoDistinguisherFound.
 
     With G = A + alpha N = r I + s J, s > 0 the imaginary part of its
     eigenvalues (J is a quarter turn in G's real Jordan basis), shifts the
     rotation rate by 2*pi*l/tau via M = N + (2 pi l/(alpha tau)) J, and
-    matches the drive with bhat = (A + alpha M) G^{-1} b."""
+    matches the drive with bhat = (A + alpha M) G^{-1} b. The partner's
+    level generator is r I + kappa s J with kappa = 1 + 2 pi l/(tau s), and
+    its Krylov spans are those of G whenever kappa != 0, so the B_alpha
+    test's one Krylov build of (G, b, c) decides its canonicity too.
+    l = None means l = 1 (kappa > 1); an explicit l raises NoValidL when
+    l = 0 or |kappa| <= residual_tol, a ratio that does not move with the
+    time unit."""
     if t.n != 2:
         raise DimensionMismatch(f"the sampled construction needs n=2, got {t.n}")
     _check_pulse(tau, alpha)
@@ -410,20 +410,10 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     (g11, g12), (g21, g22) = G
     s = math.sqrt(-(g11 - g22) ** 2 / 4 - g12 * g21)
     L = (2.0 * math.pi / tau) * (G - (g11 + g22) / 2 * np.eye(2)) / s
-
-    def admissible(cand):
-        return (abs(s + 2.0 * cand * math.pi / tau) > tol.residual_tol
-                and _linear([G + cand * L], t.b, t.c, tol)[1] == [[2, 2]])
-
-    if l is None:
-        for cand in (k * sgn for k in range(1, 51) for sgn in (1, -1)):
-            if admissible(cand):
-                l = cand
-                break
-        else:
-            raise NoValidL("no admissible integer l with |l| <= 50")
-    elif l == 0 or not admissible(l):
-        raise NoValidL(f"l={l} is not admissible")
+    l = 1 if l is None else l
+    if l == 0 or not abs(s + 2.0 * l * math.pi / tau) > tol.residual_tol * s:
+        raise NoValidL(f"l={l} is not admissible: l = 0, or kappa = "
+                       f"1 + 2 pi l/(tau s) within residual_tol of 0")
 
     M = t.N + (l / alpha) * L
     sigma_hat = FourTuple(t.A, M, (t.A + alpha * M) @ np.linalg.solve(G, t.b),
@@ -434,10 +424,11 @@ def sampled_pair(t: FourTuple, tau: float, alpha: float,
     residual = _sampled_agreement(diff, tau, alpha)
     Z, R = _power_table(diff, alpha, 0.01, 301)
     disc = float(np.max(np.abs(Z @ R[0])))
-    if disc <= tol.agree_tol:
+    scale = float(np.max(np.abs([Z[:, :2] @ sigma.c, Z[:, 2:4] @ sigma_hat.c])))
+    if not disc > tol.agree_tol * scale:
         raise NoDistinguisherFound(
-            f"constant input failed to separate the pair (max gap {disc:.3e})"
-        )
+            f"constant input failed to separate the pair (max gap {disc:.3e}"
+            f" against output scale {scale:.3e})")
 
     return _pair(sigma, sigma_hat, InputClass("sampled", tau, alpha),
                  residual, constant_input(alpha, 4.0), tol)
@@ -461,7 +452,7 @@ def _rejection_sample(n, rng, predicate, kind, scale):
         t = gaussian_tuple(n, rng, kind, scale)
         if predicate(t):
             return t, tries
-    raise RuntimeError(f"no admissible tuple in {MAX_TRIES} draws")
+    raise NoAdmissibleDraw(f"no admissible tuple in {MAX_TRIES} draws")
 
 
 def sample_in_G0(n, rng, tol=DEFAULT_TOL, kind=TYPE_I, scale=1.0):

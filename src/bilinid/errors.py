@@ -91,6 +91,10 @@ class DimensionMismatch(BilinError):
     pass
 
 
+class NoAdmissibleDraw(BilinError):
+    """A rejection sampler drew no tuple of its class within its budget."""
+
+
 # -- identification ----------------------------------------------------------
 
 class OrderAmbiguous(BilinError):

@@ -52,9 +52,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TYPE_I, FourTuple
-from .errors import (Aliased, NonFiniteEntry, NotCanonicalResult,
-                     OrderAmbiguous, PoorFit, SpectrumOnCut, UnobservablePair)
+from .core import TYPE_I, FourTuple, _amplitude
+from .errors import (Aliased, NotCanonicalResult, OrderAmbiguous, PoorFit,
+                     SpectrumOnCut, UnobservablePair)
 from .matfun import (DEFAULT_TOL, Tolerances, _cut, _logm_flows, _logm_one,
                      _norms, expm, rank_of)
 from .realization import _canonical_gap, _norm
@@ -108,29 +108,25 @@ class IdentifyConfig:
 def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
     """Exact in-process oracle for a known system (the test-harness black
     box). A design of widths x offsets takes one stacked expm call: the
-    pulse-end states x(w) from the generator of the pulse level (the
-    augmented block on [x; 1] for kind I, as simulate steps it), and the
-    coast rows c e^{A s} from A, padded with a zero row and column to the
-    generator's size for kind I; the records are their products, and a
-    record beyond the float range raises Overflow.
+    pulse-end states x(w) and the coast rows c e^{A s} come from the
+    generators of the pulse level alpha and of the level 0, as simulate
+    steps them (simulate._generators: the augmented block on [x; 1] for
+    kind I); the records are their products, and a record beyond the float
+    range raises Overflow. A width or offset that is negative, infinite or
+    NaN raises ValueError.
     respond(tau, t) is the one-experiment design [min(t, tau)] x
     [t - min(t, tau)]: a time under the pulse is the end of a pulse of
-    that width. Raises NonFiniteEntry for an amplitude alpha that is not
-    finite."""
-    if not abs(alpha) < np.inf:    # NaN fails too
-        raise NonFiniteEntry(f"amplitude alpha must be finite, got {alpha}")
-    if alpha == 0:
-        raise ValueError("pulse amplitude must be nonzero")
-    gen = _generators(t, [alpha])[0]
-    coast = np.zeros_like(gen)
-    coast[:t.n, :t.n] = t.A
+    that width; a NaN tau or t reaches records, and raises there. Raises
+    NonFiniteEntry for an amplitude alpha that is not finite and
+    ValueError for alpha = 0 (core._amplitude)."""
+    gen, coast = _generators(t, [_amplitude(alpha), 0.0])
     z0 = _start(t)
 
     def records(widths, offsets):
         w = np.asarray(widths, dtype=float)
         s = np.asarray(offsets, dtype=float)
-        if np.any(w < 0) or np.any(s < 0):
-            raise ValueError("widths and offsets must be nonnegative")
+        if not all(((0 <= x) & (x < np.inf)).all() for x in (w, s)):
+            raise ValueError("widths and offsets must be finite and >= 0")
         E = expm(np.concatenate([w[:, None, None] * gen,
                                  s[:, None, None] * coast]))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -138,7 +134,7 @@ def oracle_from_tuple(t: FourTuple, alpha: float) -> PulseOracle:
             return _finite((t.c @ E[w.size:, :t.n, :t.n]) @ X.T, "record")
 
     def respond(tau: float, time: float) -> float:
-        w = min(time, tau)
+        w = np.minimum(time, tau)    # NaN propagates, as min's would not
         return float(records([w], [time - w])[0, 0])
 
     return PulseOracle(respond, float(alpha), t.kind, records)

@@ -104,9 +104,10 @@ def _march(t: FourTuple, u: PiecewiseConstantInput, grid, x0, t0, with_states):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array of times")
-    if np.any(np.diff(grid) <= 0):
+    # both written so that a NaN grid point fails them
+    if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly increasing")
-    if grid[0] < t0 or grid[-1] > u.horizon:
+    if not (t0 <= grid[0] and grid[-1] <= u.horizon):
         raise GridOutOfRange(
             f"grid spans [{grid[0]}, {grid[-1]}], allowed [{t0}, {u.horizon}]"
         )

@@ -293,6 +293,16 @@ class TestCounterexample:
         assert json.loads(out)["error"] == "DegenerateRescale"
         assert err == ""
 
+    @pytest.mark.parametrize("cls", ["single-pulse", "pulse-family"])
+    def test_exhausted_sampler_is_domain_error(self, capsys, cls):
+        # a 1-state N commutes with T, so no draw lies in G0, and the
+        # sampler's budget runs out: a JSON error, not a traceback
+        code, out, err = _run(capsys, "counterexample", "--class", cls,
+                              "--n", "1")
+        assert code == 2
+        assert json.loads(out)["error"] == "NoAdmissibleDraw"
+        assert err == ""
+
     def test_bad_seed_is_domain_error(self, capsys, shift_file):
         # the shift pair is not in class C, so seeding fails downstream
         code, out, _ = _run(capsys, "counterexample", "--class",
@@ -394,6 +404,19 @@ class TestReproduce:
         assert out.startswith("FAIL  criterion 8")
         assert out.rstrip().endswith(
             "; FAILURES: only 0/100 in both classes")
+
+    def test_raising_criterion_fails_alone(self, capsys, monkeypatch):
+        # NaN samples make criterion 7 raise Overflow in its restart; its
+        # line reads FAIL and criterion 1's line still prints
+        sample = acceptance.sample_discrete
+        monkeypatch.setattr(acceptance, "sample_discrete", lambda *args: [
+            (np.nan * x, np.nan) for x, _ in sample(*args)])
+        code, out, _ = _run(capsys, "reproduce", "--only", "1", "--only", "7")
+        assert code == 2
+        first, second = out.splitlines()
+        assert first.startswith("PASS  criterion 1")
+        assert second.startswith("FAIL  criterion 7")
+        assert "raised Overflow" in second
 
     def test_unknown_criterion(self, capsys):
         code, _, _ = _run(capsys, "reproduce", "--only", "11")

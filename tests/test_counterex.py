@@ -300,13 +300,15 @@ class TestOneKrylovBuildPerSeed:
         c_seed = _c_seed(42)
         g0_seed, _ = sample_in_G0(2, np.random.default_rng(12), kind=TYPE_II,
                                   scale=0.4)
+        b_seed, _ = sample_in_B_alpha(1.0, np.random.default_rng(5))
         builds = self._builds(monkeypatch)
         for make, stack in ((lambda: single_pulse_pair(c_seed, 2.0, 0.5), 2),
                             (lambda: classify(c_seed, 0.5), 3),
                             (lambda: classify(gaussian_tuple(
                                 3, np.random.default_rng(0))), 3),
                             (lambda: pulse_family_pair(g0_seed, 1.0, 1.0), 1),
-                            (lambda: twin_via_T(c_seed), 1)):
+                            (lambda: twin_via_T(c_seed), 1),
+                            (lambda: sampled_pair(b_seed, 1.0, 1.0), 1)):
             builds.clear()
             make()
             assert builds == [stack]
@@ -907,6 +909,29 @@ class TestSampledPair:
     def test_explicit_zero_l_rejected(self):
         with pytest.raises(NoValidL):
             sampled_pair(ROTOR, 1.0, 1.0, l=0)
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("alpha", [1.0, -0.5, 2.0])
+    def test_default_l_is_one(self, tau, alpha):
+        # no search: l = None is the l = 1 pair, bitwise
+        t, _ = sample_in_B_alpha(alpha, np.random.default_rng(7))
+        got, want = (sampled_pair(t, tau, alpha),
+                     sampled_pair(t, tau, alpha, l=1))
+        for name in "ANbc":
+            for a, b in ((got.sigma, want.sigma),
+                         (got.sigma_hat, want.sigma_hat)):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert got.agreement_residual == want.agreement_residual
+        assert got.distinguishing_word == want.distinguishing_word
+
+    @pytest.mark.parametrize("k", [1.0, 1e-10])
+    def test_zero_kappa_rejected_at_every_time_scale(self, k):
+        # tau = 2 pi and l = -1 stop the rotor's partner from turning:
+        # kappa = 1 + 2 pi l/(tau s) = 0, whatever the time unit
+        rotor = FourTuple(k * ROTOR.A, ROTOR.N, k * ROTOR.b, ROTOR.c)
+        with pytest.raises(NoValidL):
+            sampled_pair(rotor, 2.0 * np.pi / k, 1.0, l=-1)
+        assert sampled_pair(rotor, 2.0 * np.pi / k, 1.0, l=-2) is not None
 
     def test_requires_complex_closed_loop(self):
         t = FourTuple(np.diag([1.0, 2.0]), np.zeros((2, 2)),

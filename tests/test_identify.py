@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilinid import (TYPE_I, TYPE_II, FourTuple, IdentifyConfig, PulseOracle,
-                     Tolerances, identify, io_equivalent, is_canonical,
-                     krylov, oracle_from_tuple, rank_of, realize_free_response,
+                     Tolerances, gaussian_tuple, identify, io_equivalent,
+                     is_canonical, krylov, oracle_from_tuple, rank_of, realize_free_response,
                      recover_states, respond_pulse, sample_in_M,
                      similarity_between)
 from bilinid import matfun
@@ -91,6 +91,21 @@ class TestOracle:
             oracle.records([1.0, -1.0], [0.0, 0.5])
         with pytest.raises(ValueError):
             oracle.records([1.0, 2.0], [0.5, -0.5])
+
+    def test_rejects_nan_and_infinite_times(self):
+        # min(time, nan) kept time, so a NaN width got the answer of
+        # another width; a NaN in records reached expm as Overflow
+        oracle = oracle_from_tuple(
+            gaussian_tuple(2, np.random.default_rng(0)), 1.0)
+        for tau, time in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                oracle.respond(tau, time)
+        for widths, offsets in (([np.nan], [0.0]), ([0.0], [np.nan]),
+                                ([np.inf], [0.0]), ([1.0], [np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                oracle.records(widths, offsets)
+        # a pulse that outlasts the time is still a time under the pulse
+        assert oracle.respond(np.inf, 1.0) == oracle.respond(1.0, 1.0)
 
 
 class TestRealizeFreeResponse:

@@ -5,6 +5,10 @@ each of G0, C, M and B_alpha onto itself, so no class flag and no rank may
 depend on the time unit. Amplitude: (N, b, alpha) -> (s N, s b, alpha/s)
 keeps A + alpha N and scales b, so the G0, M and B_alpha flags stay. The
 draws are the Gaussian tuples of gaussian_tuple(n, default_rng(5)).
+Sampled pairs: c -> lambda c is an exact symmetry of the construction, and
+rescaling time by k (with the period tau / k) scales the partner by k, so
+the pair builds at every output scale and time unit, and its partner
+follows the symmetry.
 """
 
 import importlib
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from bilinid import (TYPE_I, FourTuple, PulseOracle, classify, identify,
-                     self_dual_T)
+                     sample_in_B_alpha, sampled_pair, self_dual_T)
 from bilinid.counterex import gaussian_tuple
 
 # the module; the package's name "identify" is the function
@@ -83,3 +87,30 @@ class TestAmplitude:
             moved = FourTuple(t.A, s * t.N, s * t.b, t.c, t.kind)
             assert (_verdict(classify(moved, 1.0 / s), RANKS)
                     == _verdict(classify(t), RANKS))
+
+
+class TestSampledPair:
+    @pytest.mark.parametrize("lam", [1e-9, 1.0, 1e9])
+    def test_output_scale(self, lam):
+        t, _ = sample_in_B_alpha(1.0, np.random.default_rng(5))
+        base = sampled_pair(t, 1.0, 1.0)
+        pair = sampled_pair(FourTuple(t.A, t.N, t.b, lam * t.c), 1.0, 1.0)
+        for name in "ANb":
+            assert np.array_equal(getattr(pair.sigma_hat, name),
+                                  getattr(base.sigma_hat, name))
+        assert np.array_equal(pair.sigma_hat.c, lam * t.c)
+
+    @pytest.mark.parametrize("k", [1e-10, 1e-4, 1.0])
+    def test_time_unit(self, k):
+        rotor = FourTuple([[0.0, -1.0], [1.0, 0.0]], np.zeros((2, 2)),
+                          [1.0, 0.0], [1.0, 0.0])
+        base = sampled_pair(rotor, 1.0, 1.0)
+        pair = sampled_pair(_timed(rotor, k), 1.0 / k, 1.0)
+        one = sampled_pair(_timed(rotor, k), 1.0 / k, 1.0, l=1)
+        for name in "ANb":
+            want = k * getattr(base.sigma_hat, name)
+            assert np.allclose(getattr(pair.sigma_hat, name), want,
+                               rtol=1e-12, atol=0.0)
+            # l = None is l = 1 at every time unit
+            assert np.array_equal(getattr(pair.sigma_hat, name),
+                                  getattr(one.sigma_hat, name))

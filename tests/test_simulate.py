@@ -64,6 +64,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(INTEGRATOR, constant_input(1.0, 2.0), [])
 
+    @pytest.mark.parametrize("grid, error", [
+        ([0.5, np.nan, 1.0], ValueError), ([0.5, np.nan], ValueError),
+        ([np.nan], GridOutOfRange)])
+    def test_nan_grid_point_is_refused(self, grid, error):
+        # np.diff(grid) <= 0 and grid[0] < t0 are False for NaN, which
+        # used to reach expm and raise Overflow
+        with pytest.raises(error):
+            simulate(INTEGRATOR, constant_input(1.0, 2.0), grid)
+
     def test_zero_width_pulse_is_the_constant_response(self):
         t = _random_system(6)
         grid = np.linspace(0.1, 2.0, 7)
